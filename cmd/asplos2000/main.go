@@ -143,7 +143,19 @@ func run() int {
 	ckptPath := flag.String("checkpoint", "", "sweep checkpoint file (default <store-dir>/sweep.ckpt); written on interrupt and at clean completion")
 	resume := flag.Bool("resume", false, "resume from the checkpoint: validate that it matches this grid and tree, then re-run the sweep (completed cells warm-hit the store)")
 	cellDeadline := flag.Duration("cell-deadline", 0, "per-cell wall-clock watchdog (0 = off); a cell running longer is abandoned and reported as timed out")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to this file (read it with go tool pprof); an interrupted run still writes it")
 	flag.Parse()
+
+	stopProfile, err := harness.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "asplos2000:", err)
+		return harness.ExitError
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "asplos2000:", err)
+		}
+	}()
 
 	harness.SetTraceBudget(*traceBudget)
 	// ckptOpted: the user asked for checkpointing by flag. An interrupt

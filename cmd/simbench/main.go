@@ -538,7 +538,19 @@ func run() int {
 	metricsAddr := flag.String("metrics-addr", "", "serve read-only telemetry over HTTP on this address (e.g. 127.0.0.1:8088; empty = off): /metrics is the live registry snapshot, /progress the current benchmark phase")
 	ckptPath := flag.String("checkpoint", "sweep.ckpt", "sweep checkpoint file, written when the sweep phase is interrupted")
 	resume := flag.Bool("resume", false, "validate the checkpoint against this grid and tree before benchmarking (with -store-dir, completed sweep cells warm-hit the store)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this run to this file (read it with go tool pprof); an interrupted run still writes it")
 	flag.Parse()
+
+	stopProfile, err := harness.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simbench:", err)
+		return harness.ExitError
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "simbench:", err)
+		}
+	}()
 
 	if *history {
 		return runHistory(*ledgerDir, *window, *tol)

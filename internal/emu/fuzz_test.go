@@ -111,7 +111,8 @@ func FuzzPackRoundTrip(f *testing.F) {
 }
 
 // TestChecksumRecs pins the checksum's sensitivity: any single-bit flip
-// in any record field changes the FNV-1a sum, and equal traces agree.
+// in any record field, and any burst of 1-32 bits anywhere in the encoded
+// trace, changes the sum, and equal traces agree.
 func TestChecksumRecs(t *testing.T) {
 	recs := []TraceRec{
 		{Addr: 0x20000, Idx: 1},
@@ -142,5 +143,56 @@ func TestChecksumRecs(t *testing.T) {
 	}
 	if ChecksumRecs(nil) != ChecksumRecs([]TraceRec{}) {
 		t.Fatal("empty-trace checksums disagree")
+	}
+
+	// Bursts: flip a run of 1-32 bits (first and last set, the middle
+	// random) of the EncodeTraceRec encoding. Each CRC half detects every
+	// such burst, so none may go unseen. Bit k of the stream is bit k%8 of
+	// byte k/8, the order both reflected CRCs consume, and the trace spans
+	// three ChecksumBatchRecs batches; every third burst is placed across
+	// a record or batch seam.
+	long := make([]TraceRec, 2*ChecksumBatchRecs+3)
+	for i := range long {
+		long[i] = TraceRec{Addr: in.Uint64(), Idx: uint32(in.Intn(1 << 20)), Br: uint32(in.Uint64())}
+	}
+	enc := make([]byte, len(long)*TraceRecBytes)
+	for i := range long {
+		EncodeTraceRec(enc[i*TraceRecBytes:], &long[i])
+	}
+	base := ChecksumRecs(long)
+	flip := func(start int, pattern uint64, width int) {
+		for k := 0; k < width; k++ {
+			if pattern>>k&1 != 0 {
+				enc[(start+k)/8] ^= 1 << ((start + k) % 8)
+			}
+		}
+	}
+	damaged := make([]TraceRec, len(long))
+	const recBits, batchBits = 8 * TraceRecBytes, 8 * TraceRecBytes * ChecksumBatchRecs
+	for trial := 0; trial < 3000; trial++ {
+		width := 1 + in.Intn(32)
+		pattern := uint64(1) | uint64(1)<<(width-1) | in.Uint64()&(1<<width-1)
+		start := in.Intn(len(enc)*8 - width + 1)
+		if trial%3 == 0 {
+			seam := recBits * (1 + in.Intn(len(long)-1))
+			if trial%6 == 0 {
+				seam = batchBits * (1 + in.Intn(2))
+			}
+			start = seam - 1 - in.Intn(width)
+		}
+		flip(start, pattern, width)
+		for i := range damaged {
+			damaged[i] = DecodeTraceRec(enc[i*TraceRecBytes:])
+		}
+		if ChecksumRecs(damaged) == base {
+			t.Fatalf("trial %d: %d-bit burst %#x at bit %d not reflected in checksum", trial, width, pattern, start)
+		}
+		flip(start, pattern, width) // restore
+	}
+	for i := range damaged {
+		damaged[i] = DecodeTraceRec(enc[i*TraceRecBytes:])
+	}
+	if ChecksumRecs(damaged) != base {
+		t.Fatal("encoding did not round-trip after restoring every burst")
 	}
 }

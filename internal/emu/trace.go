@@ -1,7 +1,9 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"cryptoarch/internal/check"
 	"cryptoarch/internal/isa"
@@ -36,6 +38,21 @@ type TraceRec struct {
 // TraceRecBytes is the packed size of one record.
 const TraceRecBytes = 16
 
+// EncodeTraceRec writes r's TraceRecBytes-byte encoding into b: Addr as a
+// little-endian uint64, then Idx | Br<<32 as a little-endian uint64. It is
+// the persistent store's trace payload format and the byte sequence
+// ChecksumRecs sums, so one sum serves the trace on disk and in memory.
+func EncodeTraceRec(b []byte, r *TraceRec) {
+	binary.LittleEndian.PutUint64(b[:8], r.Addr)
+	binary.LittleEndian.PutUint64(b[8:TraceRecBytes], uint64(r.Idx)|uint64(r.Br)<<32)
+}
+
+// DecodeTraceRec is the inverse of EncodeTraceRec.
+func DecodeTraceRec(b []byte) TraceRec {
+	w := binary.LittleEndian.Uint64(b[8:TraceRecBytes])
+	return TraceRec{Addr: binary.LittleEndian.Uint64(b[:8]), Idx: uint32(w), Br: uint32(w >> 32)}
+}
+
 // Trace is a recorded committed-path instruction stream: the program it
 // was recorded from plus one packed record per retired instruction. A
 // Trace is immutable after Record returns and safe for any number of
@@ -48,30 +65,38 @@ type Trace struct {
 // Bytes is the retained size of the packed records.
 func (t *Trace) Bytes() int { return TraceRecBytes * len(t.Recs) }
 
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
+// ChecksumBatchRecs is how many records ChecksumRecs encodes into its
+// buffer per sum update: 4 KB, long enough for the CRC instructions to run
+// at full width.
+const ChecksumBatchRecs = 256
 
-// ChecksumRecs computes the FNV-1a 64-bit checksum of the packed records,
-// hashing the 16-byte little-endian encoding of each record. The trace
-// cache stores this at record time and re-verifies it on every replay
-// request, so a bit flipped in a retained trace (memory corruption, a
-// stray write through a stale slice) is caught before it silently skews a
-// timing run.
+// sumBufs recycles ChecksumRecs's encode buffer. hash/crc32 dispatches
+// through function values, so escape analysis cannot keep a local array on
+// the stack, and a fresh one would cost an allocation per replay request.
+var sumBufs = sync.Pool{New: func() any { return new([ChecksumBatchRecs * TraceRecBytes]byte) }}
+
+// ChecksumRecs returns check.NewSum64 of the records' EncodeTraceRec
+// encoding — the same value the persistent store computes over a trace
+// payload. The trace cache stores it at record time (or takes it from the
+// store's verified header at fault-in) and checks the retained records
+// against it: on every serial stream request, and on the first and every
+// 64th traceFor request of the sampled and chunked paths. A bit flipped in
+// a retained trace (memory corruption, a stray write through a stale
+// slice) is thus caught before it silently skews a timing run.
 func ChecksumRecs(recs []TraceRec) uint64 {
-	h := fnvOffset
-	for i := range recs {
-		r := &recs[i]
-		for _, w := range [2]uint64{r.Addr, uint64(r.Idx) | uint64(r.Br)<<32} {
-			for b := 0; b < 8; b++ {
-				h ^= w >> (8 * b) & 0xff
-				h *= fnvPrime
-			}
+	buf := sumBufs.Get().(*[ChecksumBatchRecs * TraceRecBytes]byte)
+	defer sumBufs.Put(buf)
+	h := check.NewSum64()
+	for len(recs) > 0 {
+		n := min(len(recs), ChecksumBatchRecs)
+		b := buf[:n*TraceRecBytes]
+		for i := range recs[:n] {
+			EncodeTraceRec(b[i*TraceRecBytes:(i+1)*TraceRecBytes], &recs[i])
 		}
+		h.Write(b)
+		recs = recs[n:]
 	}
-	return h
+	return h.Sum64()
 }
 
 // Checksum is ChecksumRecs over the trace's records.

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 )
 
@@ -61,4 +63,30 @@ func NotifyInterrupt(parent context.Context, force func(sig os.Signal)) (context
 		cancel()
 	}
 	return ctx, stop
+}
+
+// StartCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file; an empty path profiles
+// nothing. Commands start it right after flag parsing and defer the stop,
+// so a run that winds down to ExitInterrupt still writes a complete
+// profile; the forced ExitForced path skips it along with other cleanup.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		return nil
+	}, nil
 }

@@ -48,7 +48,7 @@ type traceEntry struct {
 	once sync.Once
 
 	tr      *emu.Trace // complete trace; nil if oversized or errored
-	sum     uint64     // FNV-1a checksum of tr.Recs at record time
+	sum     uint64     // emu.ChecksumRecs of tr.Recs at record or fault-in time
 	codeLen int        // static code length (for I-cache warming)
 	err     error
 
@@ -147,8 +147,9 @@ type TraceCacheStats struct {
 	Resumes       int `json:"resumes"`        // oversized records streamed out once
 	LiveFallbacks int `json:"live_fallbacks"` // runs that re-emulated live
 	Evictions     int `json:"evictions"`      // traces dropped by the LRU budget
-	// ChecksumEvictions counts retained traces whose FNV-1a checksum no
-	// longer matched the record-time sum when a replay was requested.
+	// ChecksumEvictions counts retained traces whose emu.ChecksumRecs sum
+	// (CRC-32C and CRC-32, check.NewSum64) no longer matched the
+	// record-time sum when a replay was requested and verified.
 	// Each such trace is dropped and re-recorded once; a second mismatch
 	// fails the request. Nonzero means memory corruption (or a stray
 	// write through a stale slice) was caught before it skewed a run.

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -127,19 +126,16 @@ func storeKeyFor(k traceKey) (string, error) {
 	}.Key(), nil
 }
 
-// encodeRecs packs trace records into the on-disk payload: per record,
-// Addr as LE64 then (Idx | Br<<32) as LE64 — the exact byte sequence
-// emu.ChecksumRecs hashes, so the store's payload checksum IS the trace
-// checksum (pinned by TestStorePayloadChecksumIsTraceChecksum). One FNV-1a
-// sum therefore serves file integrity on disk and replay integrity in
-// memory.
+// encodeRecs packs trace records into the on-disk payload, one
+// emu.EncodeTraceRec encoding per record — the exact byte sequence
+// emu.ChecksumRecs sums, so the store's payload checksum IS the trace
+// checksum (pinned by TestStorePayloadChecksumIsTraceChecksum). One
+// check.NewSum64 value (CRC-32C and CRC-32) therefore serves file
+// integrity on disk and replay integrity in memory.
 func encodeRecs(recs []emu.TraceRec) []byte {
 	b := make([]byte, len(recs)*emu.TraceRecBytes)
 	for i := range recs {
-		r := &recs[i]
-		off := i * emu.TraceRecBytes
-		binary.LittleEndian.PutUint64(b[off:off+8], r.Addr)
-		binary.LittleEndian.PutUint64(b[off+8:off+16], uint64(r.Idx)|uint64(r.Br)<<32)
+		emu.EncodeTraceRec(b[i*emu.TraceRecBytes:], &recs[i])
 	}
 	return b
 }
@@ -151,11 +147,7 @@ func decodeRecs(b []byte) ([]emu.TraceRec, bool) {
 	}
 	recs := make([]emu.TraceRec, len(b)/emu.TraceRecBytes)
 	for i := range recs {
-		off := i * emu.TraceRecBytes
-		recs[i].Addr = binary.LittleEndian.Uint64(b[off : off+8])
-		w := binary.LittleEndian.Uint64(b[off+8 : off+16])
-		recs[i].Idx = uint32(w)
-		recs[i].Br = uint32(w >> 32)
+		recs[i] = emu.DecodeTraceRec(b[i*emu.TraceRecBytes:])
 	}
 	return recs, true
 }

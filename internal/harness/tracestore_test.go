@@ -1,10 +1,10 @@
 package harness
 
 import (
-	"hash/fnv"
 	"os"
 	"testing"
 
+	"cryptoarch/internal/check"
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/ooo"
@@ -30,36 +30,49 @@ func installTempStore(t *testing.T) *store.Store {
 }
 
 // TestStorePayloadChecksumIsTraceChecksum pins the contract encodeRecs
-// promises: the FNV-1a sum of the on-disk payload bytes IS the trace
+// promises: check.NewSum64 of the on-disk payload bytes IS the trace
 // checksum emu.ChecksumRecs computes over the records, so one sum serves
-// both file integrity and replay integrity.
+// both file integrity and replay integrity. ChecksumRecs encodes in
+// batches of emu.ChecksumBatchRecs, so the record counts straddle that
+// boundary as well as the empty and one-record traces.
 func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
-	recs := []emu.TraceRec{
+	edge := []emu.TraceRec{
 		{Addr: 0xdeadbeefcafef00d, Idx: 42, Br: 1},
 		{Addr: 0x0123456789abcdef, Idx: 7, Br: 0},
 		{Addr: 0, Idx: 0xffffffff, Br: 0xffffffff},
 		{Addr: 1, Idx: 1, Br: 1},
 	}
-	payload := encodeRecs(recs)
-	if len(payload) != len(recs)*emu.TraceRecBytes {
-		t.Fatalf("payload is %d bytes, want %d", len(payload), len(recs)*emu.TraceRecBytes)
-	}
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != emu.ChecksumRecs(recs) {
-		t.Fatalf("payload checksum %#x != trace checksum %#x", h.Sum64(), emu.ChecksumRecs(recs))
-	}
-	back, ok := decodeRecs(payload)
-	if !ok || len(back) != len(recs) {
-		t.Fatal("decodeRecs failed on its own encoding")
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Fatalf("rec %d round-tripped as %+v, want %+v", i, back[i], recs[i])
+	b := emu.ChecksumBatchRecs
+	for _, n := range []int{0, 1, len(edge), b - 1, b, b + 1, 2*b + 1} {
+		recs := make([]emu.TraceRec, n)
+		for i := range recs {
+			recs[i] = edge[i%len(edge)]
+			recs[i].Addr ^= uint64(i) * 0x9e3779b97f4a7c15
+			recs[i].Idx += uint32(i)
 		}
-	}
-	if _, ok := decodeRecs(payload[:len(payload)-1]); ok {
-		t.Fatal("decodeRecs accepted a torn payload")
+		payload := encodeRecs(recs)
+		if len(payload) != n*emu.TraceRecBytes {
+			t.Fatalf("n=%d: payload is %d bytes, want %d", n, len(payload), n*emu.TraceRecBytes)
+		}
+		h := check.NewSum64()
+		h.Write(payload)
+		if got, want := emu.ChecksumRecs(recs), h.Sum64(); got != want {
+			t.Fatalf("n=%d: trace checksum %#x != payload checksum %#x", n, got, want)
+		}
+		back, ok := decodeRecs(payload)
+		if !ok || len(back) != n {
+			t.Fatalf("n=%d: decodeRecs failed on its own encoding", n)
+		}
+		for i := range recs {
+			if back[i] != recs[i] {
+				t.Fatalf("n=%d: rec %d round-tripped as %+v, want %+v", n, i, back[i], recs[i])
+			}
+		}
+		if n > 0 {
+			if _, ok := decodeRecs(payload[:len(payload)-1]); ok {
+				t.Fatalf("n=%d: decodeRecs accepted a torn payload", n)
+			}
+		}
 	}
 }
 

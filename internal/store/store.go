@@ -10,10 +10,11 @@
 // entirely in the key: the store never updates an entry in place, and a
 // change to any identity field derives a different key, so staleness is
 // structurally impossible; the only failure modes left are capacity (LRU
-// eviction against a byte budget) and corruption (checksums verified on
-// every load; corrupt entries are deleted, counted, and reported as
-// misses so the caller re-records exactly once — the same discipline as
-// the trace cache's ChecksumEvictions).
+// eviction against a byte budget) and corruption (a 64-bit CRC-32C/CRC-32
+// payload sum, check.NewSum64, verified on every load; corrupt entries are
+// deleted, counted, and reported as misses so the caller re-records
+// exactly once — the same discipline as the trace cache's
+// ChecksumEvictions).
 //
 // Writes are atomic (temp file + rename into place), so a crashed or
 // concurrent writer can never leave a half-written entry under a live key;
@@ -27,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -37,14 +37,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cryptoarch/internal/check"
 	"cryptoarch/internal/metrics"
 )
 
 // SchemaVersion identifies the on-disk entry format and key schema. It is
 // hashed into every key and stamped into MANIFEST.json; bumping it makes
 // every old entry unreachable and makes Open refuse old directories with
-// ErrStale rather than silently mixing formats.
-const SchemaVersion = 1
+// ErrStale rather than silently mixing formats. Version 2 replaced the
+// FNV-1a payload sum of version 1 with check.NewSum64.
+const SchemaVersion = 2
 
 // ErrStale marks a store directory whose manifest disagrees with this
 // binary's schema (or a populated directory with no manifest at all).
@@ -75,18 +77,21 @@ func (t Tier) dir() string {
 // String names the tier for diagnostics.
 func (t Tier) String() string { return t.dir() }
 
-// Entry file layout: a 24-byte header followed by the payload.
+// Entry file layout: a 24-byte header followed by the payload. The magic
+// names the header format: a "simstor1" entry (FNV-1a sum) fails the magic
+// check and is dropped as corrupt even under a current manifest.
 const (
-	entryMagic  = "simstor1"
-	headerBytes = 24 // magic(8) | payload len LE64 | FNV-1a sum LE64
+	entryMagic  = "simstor2"
+	headerBytes = 24 // magic(8) | payload len LE64 | check.NewSum64 sum LE64
 )
 
-// checksum is the payload integrity hash: FNV-1a 64-bit, the repo-wide
-// standard. For trace-tier entries the payload encoding is chosen so this
-// equals emu.ChecksumRecs of the decoded records (pinned by a harness
-// test), so one hash serves both file integrity and trace identity.
+// checksum is the payload integrity sum, check.NewSum64 (CRC-32C in the
+// high half, CRC-32 in the low). For trace-tier entries the payload
+// encoding is chosen so this equals emu.ChecksumRecs of the decoded
+// records (pinned by a harness test), so one sum serves both file
+// integrity and in-memory trace integrity.
 func checksum(payload []byte) uint64 {
-	h := fnv.New64a()
+	h := check.NewSum64()
 	h.Write(payload)
 	return h.Sum64()
 }
@@ -288,10 +293,10 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Get loads an entry's payload, verifying the header and FNV-1a checksum.
-// A missing entry is a plain miss. A corrupted or truncated entry is
-// deleted from disk, counted on the corrupt counter, and reported as a
-// miss — the caller re-records and Puts, so corruption costs exactly one
+// Get loads an entry's payload, verifying the header (magic and length)
+// and the check.NewSum64 payload sum. A missing entry is a plain miss. A
+// corrupted, truncated or old-format entry is deleted from disk, counted
+// on the corrupt counter, and reported as a miss — the caller re-records and Puts, so corruption costs exactly one
 // re-computation. The returned sum is the payload checksum from the
 // verified header (for trace entries, equal to emu.ChecksumRecs of the
 // decoded records).

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -143,6 +144,55 @@ func TestCorruptionTruncate(t *testing.T) {
 	}
 }
 
+// TestCorruptionOldFormatEntry pins the schema-2 header change: an entry
+// in the schema-1 layout (magic "simstor1", FNV-1a payload sum), found
+// under a current manifest, is deleted as corrupt and reported as a miss
+// by Get — never served.
+func TestCorruptionOldFormatEntry(t *testing.T) {
+	withCounters(t)
+	dir := t.TempDir()
+	s, err := Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("a trace payload written before the CRC sum")
+	// The schema-1 payload sum, 64-bit FNV-1a, spelled out here because
+	// hash/fnv now serves only identity keys.
+	fnv := uint64(14695981039346656037)
+	for _, c := range payload {
+		fnv = (fnv ^ uint64(c)) * 1099511628211
+	}
+	raw := make([]byte, headerBytes+len(payload))
+	copy(raw, "simstor1")
+	binary.LittleEndian.PutUint64(raw[8:16], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(raw[16:24], fnv)
+	copy(raw[headerBytes:], payload)
+	path := s.EntryPath(TierTrace, "oldfmt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, 1<<20)
+	if err != nil {
+		t.Fatalf("current manifest refused: %v", err)
+	}
+	if s2.Len() != 1 {
+		t.Fatalf("reopened store indexed %d entries, want the old-format one", s2.Len())
+	}
+	if got, _, ok := s2.Get(TierTrace, "oldfmt"); ok {
+		t.Fatalf("Get served a schema-1 entry: %q", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("schema-1 entry not deleted from disk")
+	}
+	if st := ReadStats(); st.Corrupt != 1 || st.TraceMisses != 1 || st.TraceHits != 0 {
+		t.Fatalf("stats %+v: want the schema-1 entry counted as corrupt and as a miss", st)
+	}
+	if s2.Len() != 0 || s2.BytesUsed() != 0 {
+		t.Fatalf("dropped entry still indexed: %d entries, %d bytes", s2.Len(), s2.BytesUsed())
+	}
+}
+
 // TestEviction pins the LRU byte budget: the least-recently-used entry is
 // deleted (memory and disk) when a Put overflows the budget, and a
 // Get refreshes recency.
@@ -213,15 +263,18 @@ func TestReopenPersists(t *testing.T) {
 }
 
 // TestStaleManifest pins ErrStale on both stale shapes: a manifest naming
-// another schema, and a populated directory with no manifest at all. An
-// empty no-manifest directory is a fresh store, not an error.
+// another schema (the previous one, 1, or a future one), and a populated
+// directory with no manifest at all. An empty no-manifest directory is a
+// fresh store, not an error.
 func TestStaleManifest(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(`{"schema_version":99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, 1<<20); !errors.Is(err, ErrStale) {
-		t.Fatalf("wrong-schema manifest: got %v, want ErrStale", err)
+	for _, m := range []string{`{"schema_version":1}`, `{"schema_version":99}`} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, 1<<20); !errors.Is(err, ErrStale) {
+			t.Fatalf("manifest %s: got %v, want ErrStale", m, err)
+		}
 	}
 
 	dir2 := t.TempDir()
