@@ -100,7 +100,7 @@ func main() {
 		// Fresh machine for the timing run (the emulator is single-shot).
 		m = emu.New(build(feat), mem, 0x80000)
 		m.SetArgs(in, out, session, ctx)
-		eng := ooo.NewEngine(ooo.FourWide, ooo.MachineStream{M: m})
+		eng := ooo.NewEngine(ooo.FourWide, &ooo.MachineStream{M: m})
 		eng.WarmData(ctx, 4*rounds)
 		eng.WarmCode(len(prog.Code))
 		st, err := eng.Run()

@@ -21,9 +21,9 @@ func fuzzProg() *isa.Program {
 }
 
 // FuzzTraceDecode throws arbitrary packed records at Trace.Validate and
-// the replay decoder: Validate must reject every structurally broken
-// record, and every record it accepts must replay without panicking and
-// with fields consistent with the static program.
+// the replay stream: Validate must reject every structurally broken
+// record, and every record it accepts must replay unchanged and carry
+// only the dynamic facts its static instruction can have.
 func FuzzTraceDecode(f *testing.F) {
 	prog := fuzzProg()
 	f.Add(uint64(0x20000), uint32(1), uint32(0)) // well-formed load
@@ -46,22 +46,26 @@ func FuzzTraceDecode(f *testing.F) {
 			return // structurally rejected; nothing to replay
 		}
 		s := tr.Stream()
-		r, ok := s.Next()
-		if !ok {
-			t.Fatal("validated stream delivered no record")
+		if s.Program() != prog {
+			t.Fatal("stream does not expose the trace's program")
 		}
-		if r.Idx != int(idx) || r.Inst != &prog.Code[idx] {
-			t.Fatalf("decoded Idx/Inst mismatch: %d vs %d", r.Idx, idx)
+		recs, ok := s.Next()
+		if !ok || len(recs) != 1 {
+			t.Fatalf("validated stream delivered %d records, want 1", len(recs))
 		}
-		p := isa.P(r.Inst.Op)
-		if p.Mem && (r.Addr != addr || r.Size != p.Size) {
-			t.Fatalf("memory record decoded addr=%#x size=%d, want %#x/%d", r.Addr, r.Size, addr, p.Size)
+		r := recs[0]
+		if r != (TraceRec{Addr: addr, Idx: idx, Br: br}) {
+			t.Fatalf("replay altered the record: %+v", r)
 		}
+		p := isa.P(prog.Code[r.Idx].Op)
 		if !p.Mem && r.Addr != 0 {
-			t.Fatalf("non-memory record decoded addr %#x", r.Addr)
+			t.Fatalf("accepted address %#x on non-memory %s", r.Addr, p.Name)
 		}
-		if p.Branch && (r.Taken != (br&1 != 0) || r.Targ != int(br>>1)) {
-			t.Fatalf("branch record decoded taken=%v targ=%d from br=%#x", r.Taken, r.Targ, br)
+		if !p.Branch && (r.Taken() || r.Target() != 0) {
+			t.Fatalf("accepted branch outcome %#x on non-branch %s", r.Br, p.Name)
+		}
+		if p.Branch && (r.Taken() != (br&1 != 0) || r.Target() != int(br>>1) || r.Target() >= len(prog.Code)) {
+			t.Fatalf("branch record decoded taken=%v targ=%d from br=%#x", r.Taken(), r.Target(), br)
 		}
 		if _, ok := s.Next(); ok {
 			t.Fatal("stream delivered a second record")
@@ -69,9 +73,10 @@ func FuzzTraceDecode(f *testing.F) {
 	})
 }
 
-// FuzzPackRoundTrip drives live records through pack and back through the
-// replay decoder, asserting the dynamic facts survive unchanged and the
-// packed form passes Validate.
+// FuzzPackRoundTrip drives live records through pack and back out of a
+// replay stream, asserting the dynamic facts survive unchanged, the static
+// ones are recoverable from the program, and the packed form passes
+// Validate.
 func FuzzPackRoundTrip(f *testing.F) {
 	prog := fuzzProg()
 	f.Add(1, uint64(0x20010), true, 2)
@@ -99,12 +104,13 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("packed live record fails Validate: %v", err)
 		}
-		got, ok := tr.Stream().Next()
-		if !ok {
-			t.Fatal("round-trip stream empty")
+		recs, ok := tr.Stream().Next()
+		if !ok || len(recs) != 1 {
+			t.Fatalf("round-trip stream delivered %d records, want 1", len(recs))
 		}
-		if got.Idx != r.Idx || got.Inst != r.Inst || got.Addr != r.Addr ||
-			got.Size != r.Size || got.Taken != r.Taken || got.Targ != r.Targ {
+		got := recs[0]
+		if int(got.Idx) != r.Idx || &prog.Code[got.Idx] != r.Inst || got.Addr != r.Addr ||
+			isa.P(prog.Code[got.Idx].Op).Size != r.Size || got.Taken() != r.Taken || got.Target() != r.Targ {
 			t.Fatalf("round trip changed the record: %+v vs %+v", got, r)
 		}
 	})

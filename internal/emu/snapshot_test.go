@@ -24,28 +24,20 @@ func refTrace(t testing.TB, session int) *emu.Trace {
 func TestStreamAt(t *testing.T) {
 	tr := refTrace(t, 128)
 	n := len(tr.Recs)
-	full := make([]emu.Rec, 0, n)
-	fs := tr.Stream()
-	for {
-		r, ok := fs.Next()
-		if !ok {
-			break
-		}
-		full = append(full, *r)
-	}
+	full := drain(t, tr.Stream())
 	windows := [][2]int{{0, n}, {0, 1}, {1, n}, {n / 3, 2 * n / 3}, {n - 1, n}, {n, n}}
 	for _, w := range windows {
 		s := tr.StreamAt(w[0], w[1])
 		if got, want := s.InstCount(), w[1]-w[0]; got != want {
 			t.Fatalf("window %v: InstCount %d, want %d", w, got, want)
 		}
-		for i := w[0]; i < w[1]; i++ {
-			r, ok := s.Next()
-			if !ok {
-				t.Fatalf("window %v: stream ended at %d", w, i)
-			}
-			if !sameRec(r, &full[i]) {
-				t.Fatalf("window %v rec %d mismatch:\nwindow %+v\nfull   %+v", w, i, *r, full[i])
+		got := drain(t, s)
+		if len(got) != w[1]-w[0] {
+			t.Fatalf("window %v: stream delivered %d records, want %d", w, len(got), w[1]-w[0])
+		}
+		for i, r := range got {
+			if r != full[w[0]+i] {
+				t.Fatalf("window %v rec %d mismatch:\nwindow %+v\nfull   %+v", w, w[0]+i, r, full[w[0]+i])
 			}
 		}
 		if _, ok := s.Next(); ok {
@@ -85,22 +77,7 @@ func TestSnapshotMaterialize(t *testing.T) {
 	// the identical suffix.
 	mats := []*emu.Machine{m, snap.Materialize(), snap.Materialize()}
 	for mi, mm := range mats {
-		want := ref.StreamAt(p, n)
-		i := p
-		for {
-			wr, ok := want.Next()
-			lr := mm.Step()
-			if !ok || lr == nil {
-				if ok || lr != nil {
-					t.Fatalf("machine %d: length mismatch at %d", mi, i)
-				}
-				break
-			}
-			if !sameRec(lr, wr) {
-				t.Fatalf("machine %d rec %d mismatch:\nlive %+v\nref  %+v", mi, i, *lr, *wr)
-			}
-			i++
-		}
+		matchLive(t, mm, ref.Prog, drain(t, ref.StreamAt(p, n)))
 		if err := mm.Err(); err != nil {
 			t.Fatalf("machine %d faulted: %v", mi, err)
 		}
@@ -125,21 +102,14 @@ func TestResumeAt(t *testing.T) {
 
 	for _, start := range []int{0, 1, prefix / 2, prefix - 1, prefix} {
 		s := tr.ResumeAt(snap.Materialize(), start)
-		want := ref.StreamAt(start, n)
-		i := start
-		for {
-			wr, ok := want.Next()
-			rr, rok := s.Next()
-			if !ok || !rok {
-				if ok != rok {
-					t.Fatalf("start %d: length mismatch at %d (ref ended=%v resume ended=%v)", start, i, !ok, !rok)
-				}
-				break
+		got, want := drain(t, s), drain(t, ref.StreamAt(start, n))
+		if len(got) != len(want) {
+			t.Fatalf("start %d: resume delivered %d records, reference %d", start, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("start %d rec %d mismatch:\nresume %+v\nref    %+v", start, start+i, got[i], want[i])
 			}
-			if !sameRec(rr, wr) {
-				t.Fatalf("start %d rec %d mismatch:\nresume %+v\nref    %+v", start, i, *rr, *wr)
-			}
-			i++
 		}
 		if err := s.Err(); err != nil {
 			t.Fatalf("start %d: resume faulted: %v", start, err)
@@ -171,23 +141,22 @@ func FuzzSnapshotResume(f *testing.F) {
 		}
 		snap := m.Snapshot()
 		mat := snap.Materialize()
-		want := ref.StreamAt(p, n)
-		i := p
+		want := drain(t, ref.StreamAt(p, n))
+		i := 0
 		for {
-			wr, ok := want.Next()
 			or := m.Step()   // original continues...
 			mr := mat.Step() // ...and so does the materialized copy
-			if !ok || or == nil || mr == nil {
-				if ok || or != nil || mr != nil {
-					t.Fatalf("length mismatch at %d: ref=%v orig=%v mat=%v", i, ok, or != nil, mr != nil)
+			if i == len(want) || or == nil || mr == nil {
+				if i != len(want) || or != nil || mr != nil {
+					t.Fatalf("length mismatch at %d: ref=%v orig=%v mat=%v", p+i, i < len(want), or != nil, mr != nil)
 				}
 				break
 			}
-			if !sameRec(or, wr) {
-				t.Fatalf("original rec %d diverged after snapshot:\nlive %+v\nref  %+v", i, *or, *wr)
+			if !sameRec(or, ref.Prog, want[i]) {
+				t.Fatalf("original rec %d diverged after snapshot:\nlive %+v\nref  %+v", p+i, *or, want[i])
 			}
-			if !sameRec(mr, wr) {
-				t.Fatalf("materialized rec %d mismatch:\nlive %+v\nref  %+v", i, *mr, *wr)
+			if !sameRec(mr, ref.Prog, want[i]) {
+				t.Fatalf("materialized rec %d mismatch:\nlive %+v\nref  %+v", p+i, *mr, want[i])
 			}
 			i++
 		}

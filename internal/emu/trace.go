@@ -2,7 +2,6 @@ package emu
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 
 	"cryptoarch/internal/check"
@@ -135,14 +134,28 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
+// Taken reports a branch record's direction (false for non-branches).
+func (r TraceRec) Taken() bool { return r.Br&1 != 0 }
+
+// Target is a branch record's target instruction index (0 for
+// non-branches).
+func (r TraceRec) Target() int { return int(r.Br >> 1) }
+
+// maxPackedTarget is the largest branch target a record can hold. Only a
+// RET through a corrupted register can exceed it; the machine then faults
+// on its next step, so pack clamps the target to this value — which lies
+// outside every program — rather than panic mid-stream.
+const maxPackedTarget = 1 << 30
+
 // pack encodes the dynamic half of one retired-instruction record.
 func pack(r *Rec) TraceRec {
 	pr := TraceRec{Addr: r.Addr, Idx: uint32(r.Idx)}
 	if r.Taken || r.Targ != 0 {
-		if uint(r.Targ) > 1<<30 {
-			panic(fmt.Sprintf("emu: branch target %d not packable", r.Targ))
+		targ := uint(r.Targ)
+		if targ > maxPackedTarget {
+			targ = maxPackedTarget
 		}
-		pr.Br = uint32(r.Targ) << 1
+		pr.Br = uint32(targ) << 1
 		if r.Taken {
 			pr.Br |= 1
 		}
@@ -171,16 +184,33 @@ func Record(m *Machine, max int, buf []TraceRec) (*Trace, bool) {
 	}
 }
 
-// ReplayStream decodes a Trace back into the retired-instruction records
-// the timing model consumes. It satisfies ooo.Stream. The returned record
-// is a reused scratch (the same contract as Machine.Step); its Val field
-// is always zero — value-prediction experiments must run the live
+// LiveBatchRecs is how many instructions a live stream steps and packs per
+// Next call: 4 KB of records, enough to amortize the call.
+const LiveBatchRecs = 256
+
+// StepPacked steps m until buf is full (len == cap) or the machine stops,
+// appending each retired instruction in Record's packed form, and returns
+// the extended slice. It is how live streams feed the timing engine the
+// same records a replay does.
+func (m *Machine) StepPacked(buf []TraceRec) []TraceRec {
+	for len(buf) < cap(buf) {
+		r := m.Step()
+		if r == nil {
+			break
+		}
+		buf = append(buf, pack(r))
+	}
+	return buf
+}
+
+// ReplayStream hands a Trace's records to the timing model. It satisfies
+// ooo.Stream: Next yields the remaining records as one sub-slice of the
+// trace's immutable slab, so replay copies and decodes nothing. Records
+// carry no result values — value-prediction experiments must run the live
 // emulator.
 type ReplayStream struct {
 	prog *isa.Program
 	recs []TraceRec
-	pos  int
-	rec  Rec
 }
 
 // Stream starts a fresh replay of the trace.
@@ -206,29 +236,20 @@ func (t *Trace) StreamAt(start, end int) *ReplayStream {
 	return &ReplayStream{prog: t.Prog, recs: t.Recs[start:end]}
 }
 
-// InstCount is the total number of instructions the stream will deliver;
-// the timing engine uses it to pre-size its in-flight ring.
+// Program is the static program the records index.
+func (s *ReplayStream) Program() *isa.Program { return s.prog }
+
+// InstCount is the number of instructions the stream has yet to deliver;
+// the timing engine reads it before the first Next to pre-size its
+// in-flight ring.
 func (s *ReplayStream) InstCount() int { return len(s.recs) }
 
-// Next implements the stream contract: the next retired instruction, or
-// false at end. The pointer is valid until the following Next call.
-func (s *ReplayStream) Next() (*Rec, bool) {
-	if s.pos >= len(s.recs) {
-		return nil, false
-	}
-	pr := &s.recs[s.pos]
-	s.pos++
-	inst := &s.prog.Code[pr.Idx]
-	r := &s.rec
-	*r = Rec{Idx: int(pr.Idx), Inst: inst}
-	p := isa.P(inst.Op)
-	if p.Mem {
-		r.Addr, r.Size = pr.Addr, p.Size
-	} else if p.Branch {
-		r.Taken = pr.Br&1 != 0
-		r.Targ = int(pr.Br >> 1)
-	}
-	return r, true
+// Next implements the stream contract: every remaining record at once, or
+// false at end. The slice aliases the trace and must not be written.
+func (s *ReplayStream) Next() ([]TraceRec, bool) {
+	recs := s.recs
+	s.recs = nil
+	return recs, len(recs) > 0
 }
 
 // ResumeStream replays a recorded prefix and then continues stepping the
@@ -236,32 +257,16 @@ func (s *ReplayStream) Next() (*Rec, bool) {
 // too long to be worth retaining as a full trace. The emulation still runs
 // exactly once; the stream is single-use.
 type ResumeStream struct {
-	rs ReplayStream
-	m  *Machine
+	rs  ReplayStream
+	m   *Machine
+	buf []TraceRec // live batch, reused across Next calls
 }
 
 // Resume builds a stream over the (partial) trace followed by live
 // execution of m, which must be the machine Record stopped in.
 func (t *Trace) Resume(m *Machine) *ResumeStream {
-	return &ResumeStream{rs: ReplayStream{prog: t.Prog, recs: t.Recs}, m: m}
+	return t.ResumeAt(m, 0)
 }
-
-// Next implements the stream contract.
-func (s *ResumeStream) Next() (*Rec, bool) {
-	if r, ok := s.rs.Next(); ok {
-		return r, true
-	}
-	r := s.m.Step()
-	if r == nil {
-		return nil, false
-	}
-	return r, true
-}
-
-// Err surfaces a terminal fault of the live machine behind the stream, so
-// a budget-exceeded resume run fails the timing engine instead of
-// silently truncating the session.
-func (s *ResumeStream) Err() error { return s.m.Err() }
 
 // ResumeAt builds a stream that replays records [start, len) of the trace
 // and then continues live on m, which must be positioned exactly after the
@@ -270,11 +275,27 @@ func (s *ResumeStream) Err() error { return s.m.Err() }
 // chunk of an oversized trace replays only its own window of the recorded
 // prefix before going live.
 func (t *Trace) ResumeAt(m *Machine, start int) *ResumeStream {
-	if start < 0 {
-		start = 0
-	}
-	if start > len(t.Recs) {
-		start = len(t.Recs)
-	}
-	return &ResumeStream{rs: ReplayStream{prog: t.Prog, recs: t.Recs[start:]}, m: m}
+	return &ResumeStream{rs: *t.StreamAt(start, len(t.Recs)), m: m}
 }
+
+// Program is the static program the records index.
+func (s *ResumeStream) Program() *isa.Program { return s.rs.prog }
+
+// Next implements the stream contract: the recorded prefix, then batches
+// of up to LiveBatchRecs live steps. A live batch is valid until the
+// following Next call.
+func (s *ResumeStream) Next() ([]TraceRec, bool) {
+	if recs, ok := s.rs.Next(); ok {
+		return recs, true
+	}
+	if s.buf == nil {
+		s.buf = make([]TraceRec, 0, LiveBatchRecs)
+	}
+	s.buf = s.m.StepPacked(s.buf[:0])
+	return s.buf, len(s.buf) > 0
+}
+
+// Err surfaces a terminal fault of the live machine behind the stream, so
+// a budget-exceeded resume run fails the timing engine instead of
+// silently truncating the session.
+func (s *ResumeStream) Err() error { return s.m.Err() }

@@ -33,14 +33,54 @@ func newPair(t testing.TB, name string, feat isa.Feature, session int) (*emu.Mac
 	return a, b
 }
 
-// sameRec compares every Rec field the timing model consumes. Val is
-// deliberately excluded: traces do not record result values (only the
-// value-prediction experiments need them, and those run live).
-// The two machines hold independently built (identical) programs, so Inst
-// is compared by value, not by pointer.
-func sameRec(a, b *emu.Rec) bool {
-	return a.Idx == b.Idx && *a.Inst == *b.Inst && a.Addr == b.Addr &&
-		a.Size == b.Size && a.Taken == b.Taken && a.Targ == b.Targ
+// sameRec compares a live step with a packed record over every fact the
+// timing model consumes: the record's PC, effective address and branch
+// outcome must match, and the static facts the engine recovers from the
+// program by PC — the instruction and its access size — must be the ones
+// the live step executed. Val is deliberately excluded: traces do not
+// record result values (only the value-prediction experiments need them,
+// and those run live). The program is compared by value because the
+// machines hold independently built (identical) programs.
+func sameRec(live *emu.Rec, prog *isa.Program, pr emu.TraceRec) bool {
+	return live.Idx == int(pr.Idx) && *live.Inst == prog.Code[pr.Idx] &&
+		live.Size == isa.P(live.Inst.Op).Size && live.Addr == pr.Addr &&
+		live.Taken == pr.Taken() && live.Targ == pr.Target()
+}
+
+// drain collects every record a stream delivers, in order.
+func drain(t testing.TB, s interface{ Next() ([]emu.TraceRec, bool) }) []emu.TraceRec {
+	t.Helper()
+	var out []emu.TraceRec
+	for {
+		recs, ok := s.Next()
+		if !ok {
+			return out
+		}
+		if len(recs) == 0 {
+			t.Fatal("stream delivered an empty batch")
+		}
+		out = append(out, recs...)
+	}
+}
+
+// matchLive steps lm to completion and checks its records against recs,
+// reporting the first mismatch.
+func matchLive(t *testing.T, lm *emu.Machine, prog *isa.Program, recs []emu.TraceRec) {
+	t.Helper()
+	n := 0
+	for {
+		lr := lm.Step()
+		if lr == nil || n == len(recs) {
+			if lr != nil || n != len(recs) {
+				t.Fatalf("length mismatch at %d: live ended=%v stream ended=%v", n, lr == nil, n == len(recs))
+			}
+			return
+		}
+		if !sameRec(lr, prog, recs[n]) {
+			t.Fatalf("rec %d mismatch:\nlive   %+v\nstream %+v", n, *lr, recs[n])
+		}
+		n++
+	}
 }
 
 // TestReplayMatchesLive records a trace and checks the replayed record
@@ -63,24 +103,17 @@ func TestReplayMatchesLive(t *testing.T) {
 			if s.InstCount() != len(tr.Recs) {
 				t.Fatalf("InstCount = %d, want %d", s.InstCount(), len(tr.Recs))
 			}
-			n := 0
-			for {
-				lr := lm.Step()
-				rr, ok := s.Next()
-				if lr == nil || !ok {
-					if lr != nil || ok {
-						t.Fatalf("length mismatch at %d: live ended=%v replay ended=%v", n, lr == nil, !ok)
-					}
-					break
-				}
-				if !sameRec(lr, rr) {
-					t.Fatalf("rec %d mismatch:\nlive   %+v\nreplay %+v", n, *lr, *rr)
-				}
-				n++
+			if s.Program() != tr.Prog {
+				t.Fatal("replay stream does not expose the trace's program")
 			}
-			if n != len(tr.Recs) {
-				t.Fatalf("replayed %d recs, trace holds %d", n, len(tr.Recs))
+			if first, _ := tr.Stream().Next(); &first[0] != &tr.Recs[0] {
+				t.Fatal("replay copied the trace instead of handing out its slab")
 			}
+			recs := drain(t, s)
+			if len(recs) != len(tr.Recs) {
+				t.Fatalf("replayed %d recs, trace holds %d", len(recs), len(tr.Recs))
+			}
+			matchLive(t, lm, tr.Prog, recs)
 		})
 	}
 }
@@ -98,23 +131,13 @@ func TestPartialRecordResume(t *testing.T) {
 		t.Fatalf("prefix length %d, want %d", len(tr.Recs), max)
 	}
 	s := tr.Resume(rm)
-	n := 0
-	for {
-		lr := lm.Step()
-		rr, ok := s.Next()
-		if lr == nil || !ok {
-			if lr != nil || ok {
-				t.Fatalf("length mismatch at %d", n)
-			}
-			break
-		}
-		if !sameRec(lr, rr) {
-			t.Fatalf("rec %d mismatch:\nlive   %+v\nresume %+v", n, *lr, *rr)
-		}
-		n++
+	recs := drain(t, s)
+	matchLive(t, lm, tr.Prog, recs)
+	if len(recs) <= max {
+		t.Fatalf("resume delivered only %d recs, expected more than the %d-rec prefix", len(recs), max)
 	}
-	if n <= max {
-		t.Fatalf("resume delivered only %d recs, expected more than the %d-rec prefix", n, max)
+	if err := s.Err(); err != nil {
+		t.Fatalf("resume faulted: %v", err)
 	}
 }
 

@@ -42,7 +42,7 @@ func measureHandshake() (uint64, error) {
 	const crtSpeedup = handshakeCRTSpeedup
 	w := pubkey.NewWorkload(handshakeSeed)
 	m, _ := pubkey.NewRun(w, handshakeFeat, 0x20000, 0x80000)
-	eng := ooo.NewEngine(ooo.FourWide, ooo.MachineStream{M: m})
+	eng := ooo.NewEngine(ooo.FourWide, &ooo.MachineStream{M: m})
 	eng.WarmData(0x20000, pubkey.CtxBytes)
 	eng.WarmCode(len(m.Prog.Code))
 	st, err := eng.Run()

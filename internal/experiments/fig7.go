@@ -27,13 +27,16 @@ func measureOpMix(cipher string, feat isa.Feature, session int, seed int64) (opM
 	if err != nil {
 		return mix, err
 	}
+	code := src.Program().Code
 	for {
-		rec, ok := src.Next()
+		recs, ok := src.Next()
 		if !ok {
 			return mix, nil
 		}
-		mix.counts[rec.Inst.Class]++
-		mix.total++
+		for i := range recs {
+			mix.counts[code[recs[i].Idx].Class]++
+		}
+		mix.total += uint64(len(recs))
 	}
 }
 

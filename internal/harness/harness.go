@@ -139,7 +139,7 @@ func TimeWorkloadObserved(w *Workload, feat isa.Feature, cfg ooo.Config, obs Run
 	if err != nil {
 		return nil, err
 	}
-	eng := ooo.NewEngine(cfg, ooo.MachineStream{M: m})
+	eng := ooo.NewEngine(cfg, &ooo.MachineStream{M: m})
 	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
 	eng.WarmCode(len(m.Prog.Code))
 	if obs != nil {
@@ -204,10 +204,11 @@ func CountKernel(cipher string, feat isa.Feature, sessionBytes int, seed int64) 
 	}
 	var n uint64
 	for {
-		if _, ok := src.Next(); !ok {
+		recs, ok := src.Next()
+		if !ok {
 			return n, nil
 		}
-		n++
+		n += uint64(len(recs))
 	}
 }
 

@@ -37,9 +37,7 @@ func ProfileKernel(cipher string, feat isa.Feature, cfg ooo.Config, sessionBytes
 	if err != nil {
 		return nil, err
 	}
-	// The kernel builder is deterministic: this program is instruction-
-	// identical to the one the recorded trace indexes.
-	return &ProfiledRun{Stats: st, Profile: prof, Prog: k.Build(feat)}, nil
+	return &ProfiledRun{Stats: st, Profile: prof, Prog: src.Program()}, nil
 }
 
 // ProfileWorkload profiles a prepared workload on the live functional
@@ -54,7 +52,7 @@ func ProfileWorkload(w *Workload, feat isa.Feature, cfg ooo.Config) (*ProfiledRu
 	if err != nil {
 		return nil, err
 	}
-	eng := ooo.NewEngine(cfg, ooo.MachineStream{M: m})
+	eng := ooo.NewEngine(cfg, &ooo.MachineStream{M: m})
 	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
 	eng.WarmCode(len(m.Prog.Code))
 	prof := eng.EnableProfile(len(m.Prog.Code))

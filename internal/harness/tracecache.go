@@ -111,13 +111,15 @@ type releasingStream struct {
 	buf []emu.TraceRec
 }
 
-func (r *releasingStream) Next() (*emu.Rec, bool) {
-	rec, ok := r.s.Next()
+func (r *releasingStream) Program() *isa.Program { return r.s.Program() }
+
+func (r *releasingStream) Next() ([]emu.TraceRec, bool) {
+	recs, ok := r.s.Next()
 	if !ok && r.buf != nil {
 		putRecBuf(r.buf)
 		r.buf = nil
 	}
-	return rec, ok
+	return recs, ok
 }
 
 // Err passes a terminal machine fault of the wrapped stream through to the
@@ -341,8 +343,8 @@ func (e *traceEntry) record(k traceKey) {
 }
 
 // evictLocked enforces the byte budget, dropping least-recently-used
-// complete traces. Streams already handed out keep their trace alive; the
-// cache just forgets it.
+// complete traces. A stream already handed out keeps its trace alive only
+// while its run lasts; the cache just forgets it.
 func (c *traceCache) evictLocked() {
 	for c.bytes > traceBudgetBytes {
 		var victim traceKey
@@ -449,7 +451,7 @@ func (c *traceCache) streamChecked(k traceKey, retried bool) (ooo.Stream, int, e
 	if err != nil {
 		return nil, 0, err
 	}
-	return ooo.MachineStream{M: m}, len(m.Prog.Code), nil
+	return &ooo.MachineStream{M: m}, len(m.Prog.Code), nil
 }
 
 // traceFor returns the key's complete retained trace (recording it on
@@ -562,7 +564,7 @@ func releaseChunkBytes(n int) {
 // encryption session, served from the trace cache when possible, plus the
 // program's static instruction count. Callers that only inspect the
 // stream (e.g. the op-mix measurement) share the same recorded emulation
-// the timing runs replay. Replayed records carry Val == 0;
+// the timing runs replay. Records carry no result values;
 // value-prediction experiments must keep using a live machine.
 func StreamKernel(cipher string, feat isa.Feature, sessionBytes int, seed int64) (ooo.Stream, int, error) {
 	return traces.stream(traceKey{cipher: cipher, feat: feat, session: sessionBytes, seed: seed, mode: modeEncrypt})

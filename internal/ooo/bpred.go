@@ -1,7 +1,5 @@
 package ooo
 
-import "cryptoarch/internal/isa"
-
 // bpred is a bimodal 2-bit predictor plus an 8-entry return-address stack.
 // Direct-branch targets are assumed to hit an ideal BTB (loop branches in
 // the cipher kernels are static-target), so mispredictions come from
@@ -32,19 +30,19 @@ func newBpred() *bpred {
 
 func (b *bpred) index(pc int) int { return pc & (bpredEntries - 1) }
 
-// predict returns the predicted direction for the branch at pc and whether
-// the prediction machinery redirects fetch correctly. It also updates
-// state (trace-driven: the true outcome is known at hand, so update is
-// immediate; for loop-dominated kernels this matches delayed update).
-func (b *bpred) predict(pc int, in *isa.Inst, taken bool, target int) (correct bool) {
-	p := isa.P(in.Op)
-	switch {
-	case in.Op == isa.OpBSR:
+// predict returns whether the prediction machinery redirects fetch
+// correctly for the branch at pc of the given kind (brCond..brRet). It
+// also updates state (trace-driven: the true outcome is known at hand, so
+// update is immediate; for loop-dominated kernels this matches delayed
+// update).
+func (b *bpred) predict(pc int, kind uint8, taken bool, target int) (correct bool) {
+	switch kind {
+	case brCall:
 		b.push(pc + 1)
 		return true
-	case in.Op == isa.OpRET:
+	case brRet:
 		return b.pop() == target
-	case p.Uncond:
+	case brJump:
 		return true // direct target, ideal BTB
 	default:
 		ctr := &b.table[b.index(pc)]

@@ -81,9 +81,14 @@ func TestBusSerialization(t *testing.T) {
 	}
 }
 
+// branchKind predecodes a lone instruction of op into its branch kind.
+func branchKind(op isa.Op) uint8 {
+	return decode([]isa.Inst{{Op: op}}, &FourWide)[0].br
+}
+
 func TestBpredLoopBranch(t *testing.T) {
 	bp := newBpred()
-	in := &isa.Inst{Op: isa.OpBNE}
+	in := branchKind(isa.OpBNE)
 	correct := 0
 	// A loop branch: taken 99 times, then falls through.
 	for i := 0; i < 100; i++ {
@@ -99,8 +104,8 @@ func TestBpredLoopBranch(t *testing.T) {
 
 func TestRAS(t *testing.T) {
 	bp := newBpred()
-	bsr := &isa.Inst{Op: isa.OpBSR}
-	ret := &isa.Inst{Op: isa.OpRET}
+	bsr := branchKind(isa.OpBSR)
+	ret := branchKind(isa.OpRET)
 	if !bp.predict(5, bsr, true, 20) {
 		t.Fatal("BSR must always predict correctly")
 	}

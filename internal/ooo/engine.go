@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"unsafe"
@@ -13,27 +14,43 @@ import (
 	"cryptoarch/internal/metrics"
 )
 
-// Stream supplies the committed-path dynamic instruction stream.
+// Stream supplies the committed-path dynamic instruction stream as packed
+// records: each emu.TraceRec carries only an instruction's PC, effective
+// address and branch outcome, and the engine recovers everything static
+// from Program. Replay, resume and live streams all feed the same fetch
+// loop.
 type Stream interface {
-	// Next returns the next retired instruction, or false at end.
-	Next() (*emu.Rec, bool)
+	// Program is the static program the records' Idx fields index.
+	Program() *isa.Program
+	// Next returns the next non-empty batch of retired instructions in
+	// commit order, or false at the end. The batch stays valid until the
+	// following Next call; the engine never writes it.
+	Next() ([]emu.TraceRec, bool)
 }
 
-// MachineStream adapts the functional emulator to a Stream.
-type MachineStream struct{ M *emu.Machine }
+// MachineStream adapts the functional emulator to a Stream: it steps the
+// machine emu.LiveBatchRecs instructions at a time, packing each record
+// the way emu.Record does.
+type MachineStream struct {
+	M   *emu.Machine
+	buf []emu.TraceRec
+}
+
+// Program implements Stream.
+func (s *MachineStream) Program() *isa.Program { return s.M.Prog }
 
 // Next implements Stream.
-func (s MachineStream) Next() (*emu.Rec, bool) {
-	r := s.M.Step()
-	if r == nil {
-		return nil, false
+func (s *MachineStream) Next() ([]emu.TraceRec, bool) {
+	if s.buf == nil {
+		s.buf = make([]emu.TraceRec, 0, emu.LiveBatchRecs)
 	}
-	return r, true
+	s.buf = s.M.StepPacked(s.buf[:0])
+	return s.buf, len(s.buf) > 0
 }
 
 // Err surfaces a terminal machine fault (instruction budget, runaway PC)
 // so Run fails instead of timing a silently truncated stream.
-func (s MachineStream) Err() error { return s.M.Err() }
+func (s *MachineStream) Err() error { return s.M.Err() }
 
 // SizedStream is optionally implemented by streams that know in advance
 // how many instructions they will deliver (e.g. emu.ReplayStream). The
@@ -84,21 +101,24 @@ const (
 	stDone
 )
 
-// entry is one reorder-buffer slot. The layout is packed (96 bytes on
-// amd64): fetch rewrites the whole struct once per instruction and commit
-// walks the ring in order, so entry size is raw bandwidth in the hottest
-// loops. Per-entry cycle stamps are uint32 — Run aborts before the global
-// cycle counter could truncate.
+// entry is one reorder-buffer slot. The layout is packed to one 64-byte
+// cache line and pointer-free: fetch rewrites the whole struct once per
+// instruction and commit walks the ring in order, so entry size is raw
+// bandwidth in the hottest loops, and rings of tens of MB are never
+// scanned by the garbage collector. Static facts live in the engine's
+// micro-op table, indexed by idx. Per-entry cycle stamps are uint32 — Run
+// aborts before the global cycle counter could truncate.
 type entry struct {
-	seq          uint64
-	inst         *isa.Inst
-	addr         uint64
-	storeOrdinal uint64 // for stores: position in store order (1-based)
-	dataProd     uint64 // stores: seq+1 of the data producer (0 if ready)
-	needStores   uint64 // loads: stores that must have known addresses
+	seq  uint64
+	addr uint64
+	// ordinal is a store's 1-based position in store order, or the number
+	// of stores whose addresses a load must know before it may issue.
+	ordinal uint64
 
-	idx         int32
-	pendingDeps int32
+	idx int32
+	// dataDist is, for a store, how far back (in seqs) its data producer
+	// was when the store dispatched; 0 if the data was already available.
+	dataDist uint32
 	// Waiting dependents as a pooled intrusive list (engine.consPool,
 	// 1-based node indices; 0 = none). The zero value is an empty list, so
 	// ring growth and entry recycling need no re-initialization.
@@ -109,13 +129,13 @@ type entry struct {
 	readyCycle    uint32
 	doneCycle     uint32
 
-	size            uint8
+	// pendingDeps counts unfinished producers: at most three register
+	// sources plus, for a load, a store and that store's data producer.
+	pendingDeps     int8
 	state           uint8
-	kind            uint8 // FU kind (kindOf), computed once at fetch
-	isLoad, isStore bool
-	sboxToDCache    bool // SBOX routed through a D-cache port
-	memBlocked      bool // waiting on store-address ordering
-	mispred         bool
+	kind            uint8 // FU kind, copied from the micro-op at fetch
+	isLoad, isStore bool  // copied from the micro-op at fetch
+	memBlocked      bool  // waiting on store-address ordering
 	memLevel        uint8 // deepest miss level of this entry's data access
 	issueDelayed    bool  // issued later than its ready cycle (passed over)
 }
@@ -140,29 +160,6 @@ const (
 	fuKinds   = kindSbox0 + 16
 )
 
-// kindOf classifies an entry by the resource pool it issues to.
-func kindOf(en *entry) int {
-	op := en.inst.Op
-	switch {
-	case op == isa.OpSBOX && !en.sboxToDCache:
-		return kindSbox0 + int(en.inst.Sel1)
-	case en.isLoad || en.isStore || op == isa.OpSBOX:
-		return kindDPort
-	case op == isa.OpMULQ || op == isa.OpUMULH:
-		return kindMul64
-	case op == isa.OpMULL || op == isa.OpMULMOD:
-		return kindMul32
-	case op == isa.OpROLQ || op == isa.OpRORQ || op == isa.OpROLL || op == isa.OpRORL ||
-		op == isa.OpROLXL || op == isa.OpRORXL || op == isa.OpROLXQ || op == isa.OpRORXQ ||
-		op == isa.OpXBOX:
-		return kindRot
-	case op == isa.OpHALT || op == isa.OpNOP || op == isa.OpSBOXSYNC:
-		return kindNone
-	default:
-		return kindIALU
-	}
-}
-
 // consNode is one element of a pooled consumer list (entry.consHead).
 // Nodes for every in-flight list live in Engine.consPool; freed lists are
 // spliced whole onto a freelist, so after warm-up the simulation allocates
@@ -181,10 +178,12 @@ type sboxCache struct {
 
 // Engine runs the timing model over one instruction stream.
 type Engine struct {
-	cfg Config
-	src Stream
-	mem *memSystem
-	bp  *bpred
+	cfg  Config
+	src  Stream
+	code []isa.Inst // src.Program().Code, for tracer events
+	uops []uop      // per-PC micro-op table (decode.go)
+	mem  *memSystem
+	bp   *bpred
 
 	stats Stats
 	cycle uint64
@@ -245,22 +244,20 @@ type Engine struct {
 	blockedBranchSeq     uint64
 	lastFetchLine        uint64
 	streamDone           bool
-	// pending is a peeked record not yet fetched. It points into the
-	// stream's internal record, which stays valid until the next Next
-	// call — fetch consumes it before peeking again, so no copy is kept.
-	pending *emu.Rec
+	// recs is the stream's current batch and recPos the next record to
+	// fetch; the batch is consumed before Next is called again. peeked
+	// marks recs[recPos] as examined but not fetched (an I-cache miss
+	// stopped fetch on it) — the front end's next instruction for blamePC.
+	recs   []emu.TraceRec
+	recPos int
+	peeked bool
 
 	sboxCaches []sboxCache
 
-	srcScratch [4]isa.Reg
-
-	// Per-cycle resource usage.
-	resCycle     uint64
-	ialuUsed     int
-	mulUsed      int
-	rotUsed      int
-	dportUsed    int
-	sboxPortUsed []int
+	// Per-cycle resource usage, per functional-unit pool (see fuPool).
+	resCycle uint64
+	poolCap  [fuKinds]int32
+	poolUsed [fuKinds]int32
 
 	// Observability (see stats.go, trace.go, profile.go). The tracer and
 	// profile are nil unless attached; accounting reads pipeline state but
@@ -298,18 +295,21 @@ type Engine struct {
 
 // NewEngine creates a timing engine for cfg over src.
 func NewEngine(cfg Config, src Stream) *Engine {
+	code := src.Program().Code
 	e := &Engine{
 		cfg:             cfg,
 		src:             src,
+		code:            code,
+		uops:            decode(code, &cfg),
 		mem:             newMemSystem(),
 		bp:              newBpred(),
 		storeIssued:     make([]bool, 256),
 		lastStoreByte:   newAliasMap(),
 		sboxCaches:      make([]sboxCache, cfg.NumSboxCaches),
-		sboxPortUsed:    make([]int, cfg.NumSboxCaches),
 		windowFullCycle: ^uint64(0),
 	}
 	e.stats.Config = cfg.Name
+	e.initPools()
 	// The ring holds both the fetch queue and the window; size it for the
 	// worst case. An infinite window normally starts small and doubles on
 	// demand, but when the stream knows its length (replay) the ring is
@@ -522,7 +522,7 @@ func (e *Engine) run() (*Stats, error) {
 	var idle uint64
 	for {
 		progress := e.step()
-		if e.streamDone && e.pending == nil && e.fqLen() == 0 && e.headSeq == e.tailSeq {
+		if e.streamDone && e.fqLen() == 0 && e.headSeq == e.tailSeq {
 			break
 		}
 		if progress {
@@ -579,7 +579,11 @@ func (e *Engine) run() (*Stats, error) {
 	e.rob = nil
 	putConsPool(e.consPool)
 	e.consPool = nil
-	return &e.stats, nil
+	// Hand out a copy: a pointer into the engine would keep the whole
+	// engine — memory model, alias slabs, queues and the stream with its
+	// trace — reachable for as long as the caller holds the result.
+	st := e.stats
+	return &st, nil
 }
 
 // step executes one cycle; reports whether any state changed.
@@ -642,7 +646,7 @@ func (e *Engine) complete(s uint64) {
 	en := e.at(s)
 	en.state = stDone
 	if e.tracer != nil {
-		e.tracer.Event(TraceWriteback, e.cycle, s, int(en.idx), en.inst)
+		e.tracer.Event(TraceWriteback, e.cycle, s, int(en.idx), &e.code[en.idx])
 	}
 	rob, mask := e.rob, uint64(len(e.rob)-1)
 	pool := e.consPool
@@ -662,7 +666,7 @@ func (e *Engine) complete(s uint64) {
 		e.consFree = en.consHead
 		en.consHead, en.consTail = 0, 0
 	}
-	if en.mispred && e.fetchBlockedOnBranch && e.blockedBranchSeq == s {
+	if e.fetchBlockedOnBranch && e.blockedBranchSeq == s {
 		e.fetchBlockedOnBranch = false
 		resume := e.cycle + 1
 		if min := uint64(en.fetchCycle) + uint64(e.cfg.BranchPenalty); min > resume {
@@ -755,7 +759,7 @@ func (e *Engine) commit() bool {
 			e.memOps--
 		}
 		if e.tracer != nil {
-			e.tracer.Event(TraceCommit, e.cycle, en.seq, int(en.idx), en.inst)
+			e.tracer.Event(TraceCommit, e.cycle, en.seq, int(en.idx), &e.code[en.idx])
 		}
 		if e.profPCs != nil {
 			e.profPCs[en.idx].Retired++
@@ -810,7 +814,7 @@ func (e *Engine) headBlame() StallCause {
 				return StallBranch
 			}
 			return StallICache
-		case e.streamDone && e.pending == nil && e.fqLen() == 0:
+		case e.streamDone && e.fqLen() == 0:
 			return StallDrain
 		default:
 			return StallIFetch // fetched but not yet decoded/dispatched
@@ -883,92 +887,88 @@ func fuStall(k int) StallCause {
 	return StallIssue // kindNone: only issue width can hold it back
 }
 
+// Functional-unit pools. Every kind issues to one pool and takes one unit
+// of it per cycle, except that a 64-bit multiply takes both lanes of the
+// multiplier pool it shares with 32-bit multiplies. Pools are indexed by
+// their primary kind; kindNone's pool never fills.
+var (
+	fuPool [fuKinds]uint8
+	fuCost [fuKinds]int32
+)
+
+func init() {
+	for k := range fuPool {
+		fuPool[k], fuCost[k] = uint8(k), 1
+	}
+	fuPool[kindMul64], fuCost[kindMul64] = kindMul32, 2
+}
+
+// initPools sets each pool's per-cycle capacity from the config.
+func (e *Engine) initPools() {
+	units := func(n int) int32 {
+		if inf(n) {
+			return math.MaxInt32
+		}
+		return int32(n)
+	}
+	c := &e.cfg
+	e.poolCap[kindNone] = math.MaxInt32
+	e.poolCap[kindIALU] = units(c.NumIALU)
+	e.poolCap[kindMul32] = units(c.MulLanes)
+	e.poolCap[kindRot] = units(c.NumRot)
+	e.poolCap[kindDPort] = units(c.DCachePorts)
+	for k := kindSbox0; k < fuKinds; k++ {
+		e.poolCap[k] = units(c.SboxCachePorts)
+	}
+}
+
 // resetRes clears the per-cycle resource counters.
 func (e *Engine) resetRes() {
 	if e.resCycle == e.cycle {
 		return
 	}
 	e.resCycle = e.cycle
-	e.ialuUsed, e.mulUsed, e.rotUsed, e.dportUsed = 0, 0, 0, 0
-	for i := range e.sboxPortUsed {
-		e.sboxPortUsed[i] = 0
-	}
+	e.poolUsed = [fuKinds]int32{}
 }
 
-// kindHasRoom reports whether the resource pool behind kind k can accept
-// one more issue this cycle.
+// hasRoom reports whether the pool behind kind k can accept one more issue
+// this cycle; the counters must already be reset for this cycle.
+func (e *Engine) hasRoom(k int) bool {
+	p := fuPool[k]
+	return e.poolUsed[p]+fuCost[k] <= e.poolCap[p]
+}
+
+// kindHasRoom is hasRoom for callers outside issue.
 func (e *Engine) kindHasRoom(k int) bool {
 	e.resetRes()
-	switch {
-	case k == kindNone:
-		return true
-	case k == kindIALU:
-		return inf(e.cfg.NumIALU) || e.ialuUsed < e.cfg.NumIALU
-	case k == kindMul32:
-		return inf(e.cfg.MulLanes) || e.mulUsed < e.cfg.MulLanes
-	case k == kindMul64:
-		return inf(e.cfg.MulLanes) || e.mulUsed+2 <= e.cfg.MulLanes
-	case k == kindRot:
-		return inf(e.cfg.NumRot) || e.rotUsed < e.cfg.NumRot
-	case k == kindDPort:
-		return inf(e.cfg.DCachePorts) || e.dportUsed < e.cfg.DCachePorts
-	default:
-		return inf(e.cfg.SboxCachePorts) || e.sboxPortUsed[k-kindSbox0] < e.cfg.SboxCachePorts
-	}
-}
-
-// reserve consumes the resource for kind k this cycle.
-func (e *Engine) reserve(k int) {
-	switch {
-	case k == kindNone:
-	case k == kindIALU:
-		e.ialuUsed++
-	case k == kindMul32:
-		e.mulUsed++
-	case k == kindMul64:
-		e.mulUsed += 2
-	case k == kindRot:
-		e.rotUsed++
-	case k == kindDPort:
-		e.dportUsed++
-	default:
-		e.sboxPortUsed[k-kindSbox0]++
-	}
+	return e.hasRoom(k)
 }
 
 // latency returns the execution latency of an issued entry, consulting the
 // memory system for loads/SBOX accesses.
-func (e *Engine) latency(en *entry) uint64 {
-	op := en.inst.Op
-	switch {
-	case op == isa.OpSBOX:
+func (e *Engine) latency(en *entry, u *uop) uint64 {
+	switch u.acc {
+	case accSbox:
 		e.stats.SboxAccesses++
-		if en.sboxToDCache {
-			if e.cfg.PerfectMem {
-				return core.LatSboxDCache
-			}
-			return e.dataAccessClassified(en)
+		return e.sboxAccess(en, u.table)
+	case accSboxDPort:
+		e.stats.SboxAccesses++
+		if e.cfg.PerfectMem {
+			return core.LatSboxDCache
 		}
-		return e.sboxAccess(en)
-	case en.isLoad:
+		return e.dataAccessClassified(en)
+	case accLoad:
 		if e.cfg.PerfectMem {
 			return core.LatLoadAgen + core.LatDCacheAccess
 		}
 		return core.LatLoadAgen + e.dataAccessClassified(en)
-	case en.isStore:
+	case accStore:
 		if !e.cfg.PerfectMem {
 			e.mem.dataAccess(en.addr, e.cycle) // allocate/dirty the line
 		}
 		return 1
-	case op == isa.OpMULQ || op == isa.OpUMULH:
-		return core.LatMul64
-	case op == isa.OpMULL:
-		return core.LatMul32
-	case op == isa.OpMULMOD:
-		return core.LatMulMod
-	default:
-		return 1
 	}
+	return uint64(u.lat)
 }
 
 // dataAccessClassified performs a data-hierarchy access and records the
@@ -989,12 +989,12 @@ func (e *Engine) dataAccessClassified(en *entry) uint64 {
 
 // sboxAccess models the dedicated SBox caches: single-tag sector caches
 // that demand-fetch 32-byte sectors from the data cache.
-func (e *Engine) sboxAccess(en *entry) uint64 {
+func (e *Engine) sboxAccess(en *entry, table uint8) uint64 {
 	if e.cfg.PerfectMem {
 		e.stats.SboxHits++
 		return core.LatSboxCache
 	}
-	c := &e.sboxCaches[en.inst.Sel1]
+	c := &e.sboxCaches[table]
 	base := en.addr & core.SboxAlignMask
 	if !c.hasTag || c.tag != base {
 		c.tag, c.hasTag, c.valid = base, true, 0
@@ -1017,6 +1017,8 @@ func (e *Engine) issue() bool {
 	width := e.cfg.IssueWidth
 	issued := 0
 	rob, rmask := e.rob, uint64(len(e.rob)-1)
+	uops := e.uops
+	e.resetRes()
 	for {
 		if !inf(width) && issued >= width {
 			break
@@ -1025,7 +1027,7 @@ func (e *Engine) issue() bool {
 		var bestSeq uint64
 		for m := e.readyMask; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros32(m)
-			if !e.kindHasRoom(k) {
+			if !e.hasRoom(k) {
 				continue
 			}
 			if best == -1 || e.readyQ[k][0] < bestSeq {
@@ -1040,10 +1042,11 @@ func (e *Engine) issue() bool {
 			e.readyMask &^= 1 << uint(best)
 		}
 		en := &rob[bestSeq&rmask]
-		e.reserve(best)
+		u := &uops[en.idx]
+		e.poolUsed[fuPool[best]] += fuCost[best]
 		en.state = stIssued
 		en.issueDelayed = e.cycle > uint64(en.readyCycle)
-		lat := e.latency(en)
+		lat := e.latency(en, u)
 		if e.profPCs != nil {
 			e.profPCs[en.idx].ExecCycles += lat
 		}
@@ -1051,13 +1054,13 @@ func (e *Engine) issue() bool {
 		e.completions.schedule(e.cycle, uint64(en.doneCycle), bestSeq)
 		issued++
 		if e.tracer != nil {
-			e.tracer.Event(TraceIssue, e.cycle, bestSeq, int(en.idx), en.inst)
+			e.tracer.Event(TraceIssue, e.cycle, bestSeq, int(en.idx), &e.code[en.idx])
 		}
 		if en.isStore {
-			e.storeIssued[en.storeOrdinal&uint64(len(e.storeIssued)-1)] = true
+			e.storeIssued[en.ordinal&uint64(len(e.storeIssued)-1)] = true
 			e.advanceStoreKnown()
 		}
-		if en.inst.Op == isa.OpSBOXSYNC {
+		if u.sync {
 			for i := range e.sboxCaches {
 				e.sboxCaches[i].valid = 0
 			}
@@ -1079,7 +1082,7 @@ func (e *Engine) advanceStoreKnown() {
 	for e.memWaitHead < len(e.memWaiters) {
 		s := e.memWaiters[e.memWaitHead]
 		en := &rob[s&rmask]
-		if en.seq == s && en.needStores > e.storeKnown {
+		if en.seq == s && en.ordinal > e.storeKnown {
 			// Waiters arrive in seq order with monotone requirements, so
 			// the first unsatisfied one blocks the rest.
 			break
@@ -1135,30 +1138,26 @@ func (e *Engine) dispatch() bool {
 // wireDependencies computes register and memory-ordering dependencies for
 // a newly dispatched entry.
 func (e *Engine) wireDependencies(en *entry) {
+	u := &e.uops[en.idx]
 	en.dispatchCycle = uint32(e.cycle)
 	e.stats.Instructions++
-	e.stats.ClassCounts[en.inst.Class]++
+	e.stats.ClassCounts[u.class]++
 	if e.tracer != nil {
-		e.tracer.Event(TraceDispatch, e.cycle, en.seq, int(en.idx), en.inst)
+		e.tracer.Event(TraceDispatch, e.cycle, en.seq, int(en.idx), &e.code[en.idx])
 	}
 
 	rob, mask := e.rob, uint64(len(e.rob)-1)
-	srcs := en.inst.Sources(e.srcScratch[:0])
 	if en.isStore {
 		// A store issues (and publishes its address) as soon as the base
-		// register is ready; the data value only gates loads that forward
-		// from it. Track the data producer separately.
-		srcs = srcs[:0]
-		if en.inst.Rb != isa.RZ {
-			srcs = append(srcs, en.inst.Rb)
-		}
-		if p := e.regProducer[en.inst.Ra]; p != 0 && p-1 >= e.headSeq {
+		// register is ready (u.srcs); the data value only gates loads that
+		// forward from it. Track the data producer separately.
+		if p := e.regProducer[u.data]; p != 0 && p-1 >= e.headSeq {
 			if pe := &rob[(p-1)&mask]; pe.seq == p-1 && pe.state != stDone {
-				en.dataProd = p // seq+1 of the store-data producer
+				en.dataDist = uint32(en.seq - (p - 1))
 			}
 		}
 	}
-	for _, r := range srcs {
+	for _, r := range u.srcs[:u.nsrc] {
 		p := e.regProducer[r]
 		if p == 0 {
 			continue
@@ -1170,43 +1169,45 @@ func (e *Engine) wireDependencies(en *entry) {
 		e.addConsumer(pe, en.seq)
 		en.pendingDeps++
 	}
-	if d := en.inst.Dest(); d != isa.RZ {
-		e.regProducer[d] = en.seq + 1
+	if u.dest != isa.RZ {
+		e.regProducer[u.dest] = en.seq + 1
 	}
 
 	if en.isStore {
 		e.storeCount++
-		en.storeOrdinal = e.storeCount
+		en.ordinal = e.storeCount
 		// Keep in-flight ordinals (storeKnown, storeCount] within the
 		// issued-ordinal ring.
 		if e.storeCount-e.storeKnown >= uint64(len(e.storeIssued)) {
 			e.growStoreRing()
 		}
-		e.lastStoreByte.setRange(en.addr, uint64(en.size), en.seq+1)
+		e.lastStoreByte.setRange(en.addr, uint64(u.size), en.seq+1)
 	}
 	if en.isLoad {
 		e.stats.Loads++
 		// Forwarding/overlap dependency: the youngest earlier store
 		// touching any loaded byte. The load waits for that store's
 		// address publication and for its data value.
-		dep := e.lastStoreByte.getMax(en.addr, uint64(en.size))
+		dep := e.lastStoreByte.getMax(en.addr, uint64(u.size))
 		if dep > 0 && dep-1 >= e.headSeq {
 			pe := &rob[(dep-1)&mask]
 			if pe.seq == dep-1 && pe.state != stDone {
 				e.addConsumer(pe, en.seq)
 				en.pendingDeps++
 			}
-			if pe.seq == dep-1 && pe.dataProd != 0 && pe.dataProd-1 >= e.headSeq {
-				dp := &rob[(pe.dataProd-1)&mask]
-				if dp.seq == pe.dataProd-1 && dp.state != stDone {
-					e.addConsumer(dp, en.seq)
-					en.pendingDeps++
+			if pe.seq == dep-1 && pe.dataDist != 0 {
+				if ds := pe.seq - uint64(pe.dataDist); ds >= e.headSeq {
+					dp := &rob[ds&mask]
+					if dp.seq == ds && dp.state != stDone {
+						e.addConsumer(dp, en.seq)
+						en.pendingDeps++
+					}
 				}
 			}
 		}
 		if !e.cfg.PerfectAlias {
-			en.needStores = e.storeCount
-			if en.needStores > e.storeKnown {
+			en.ordinal = e.storeCount
+			if en.ordinal > e.storeKnown {
 				en.memBlocked = true
 				e.memWaiters = append(e.memWaiters, en.seq)
 			}
@@ -1229,28 +1230,30 @@ func (e *Engine) wireDependencies(en *entry) {
 	}
 }
 
-// fetch pulls instructions from the trace into the fetch queue, modeling
+// fetch pulls instructions from the stream into the fetch queue, modeling
 // fetch bandwidth, the I-cache, and branch-misprediction stalls.
 func (e *Engine) fetch() bool {
-	if e.fetchBlockedOnBranch || e.cycle < e.fetchStallTil {
+	if e.fetchBlockedOnBranch || e.cycle < e.fetchStallTil || e.streamDone {
 		return false
 	}
 	qCap := e.fetchQueueCap()
 	mask := uint64(len(e.fetchQ) - 1)
 	rob, rmask := e.rob, uint64(len(e.rob)-1)
+	uops := e.uops
 	blocks := 0
 	inBlock := 0
 	fetched := 0
 	for e.fqLen() < qCap {
-		if e.pending == nil {
-			r, ok := e.src.Next()
+		for e.recPos == len(e.recs) {
+			recs, ok := e.src.Next()
 			if !ok {
 				e.streamDone = true
-				break
+				e.recs, e.recPos = nil, 0
+				return fetched > 0
 			}
-			e.pending = r
+			e.recs, e.recPos = recs, 0
 		}
-		rec := e.pending
+		rec := &e.recs[e.recPos]
 
 		// I-cache: charge a stall when crossing into a missing line.
 		line := (CodeBase + uint64(rec.Idx)*4) >> blockShift
@@ -1259,6 +1262,7 @@ func (e *Engine) fetch() bool {
 				e.lastFetchLine = line
 				e.fetchStallTil = e.cycle + lat
 				e.fetchStallBranch = false
+				e.peeked = true
 				break
 			}
 			e.lastFetchLine = line
@@ -1268,20 +1272,19 @@ func (e *Engine) fetch() bool {
 		if len(rob) != len(e.rob) {
 			rob, rmask = e.rob, uint64(len(e.rob)-1)
 		}
+		u := &uops[rec.Idx]
 		seq := e.tailSeq
 		e.tailSeq++
 		en := &rob[seq&rmask]
 		// Every field is stored directly: a composite literal would build
-		// the 96-byte struct in a temporary and duffcopy it into the ring.
+		// the struct in a temporary and copy it into the ring.
 		// consHead/consTail must be reset too — rings recycled by growROB
 		// mid-run carry entries whose lists were still live when the ring
 		// was swapped out.
 		en.seq = seq
-		en.inst = rec.Inst
 		en.addr = rec.Addr
-		en.storeOrdinal = 0
-		en.dataProd = 0
-		en.needStores = 0
+		en.ordinal = 0
+		en.dataDist = 0
 		en.idx = int32(rec.Idx)
 		en.pendingDeps = 0
 		en.consHead, en.consTail = 0, 0
@@ -1289,42 +1292,29 @@ func (e *Engine) fetch() bool {
 		en.dispatchCycle = 0
 		en.readyCycle = 0
 		en.doneCycle = 0
-		en.size = rec.Size
 		en.state = stWaiting
-		p := isa.P(rec.Inst.Op)
-		en.isStore = p.Store
-		en.isLoad = p.Load && rec.Inst.Op != isa.OpSBOX
-		en.sboxToDCache = false
+		en.kind = u.kind
+		en.isLoad = u.isLoad
+		en.isStore = u.isStore
 		en.memBlocked = false
-		en.mispred = false
 		en.memLevel = memHit
 		en.issueDelayed = false
-		if rec.Inst.Op == isa.OpSBOX {
-			if rec.Inst.Aliased {
-				// Aliased SBOX behaves as a load with optimized agen.
-				en.isLoad = true
-				en.sboxToDCache = true
-			} else if int(rec.Inst.Sel1) >= e.cfg.NumSboxCaches {
-				en.sboxToDCache = true
-			}
-		}
-		en.kind = uint8(kindOf(en))
 		e.fetchQ[e.fqTail&mask] = seq
 		e.fqTail++
-		e.pending = nil
+		e.recPos++
+		e.peeked = false
 		fetched++
 		if e.tracer != nil {
-			e.tracer.Event(TraceFetch, e.cycle, seq, rec.Idx, rec.Inst)
+			e.tracer.Event(TraceFetch, e.cycle, seq, int(rec.Idx), &e.code[rec.Idx])
 		}
 
 		// Branch handling.
-		if p.Branch {
+		if u.br != brNone {
 			e.stats.Branches++
 			correct := e.cfg.PerfectBpred ||
-				e.bp.predict(rec.Idx, rec.Inst, rec.Taken, rec.Targ)
+				e.bp.predict(int(rec.Idx), u.br, rec.Taken(), rec.Target())
 			if !correct {
 				e.stats.Mispredicts++
-				en.mispred = true
 				e.fetchBlockedOnBranch = true
 				e.blockedBranchSeq = seq
 				break
@@ -1334,7 +1324,7 @@ func (e *Engine) fetch() bool {
 		// Fetch-bandwidth accounting.
 		if !inf(e.cfg.FetchWidth) {
 			inBlock++
-			endBlock := inBlock >= e.cfg.FetchWidth || (p.Branch && rec.Taken)
+			endBlock := inBlock >= e.cfg.FetchWidth || (u.br != brNone && rec.Taken())
 			if endBlock {
 				blocks++
 				inBlock = 0

@@ -1,7 +1,9 @@
 package ooo
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
@@ -15,7 +17,7 @@ func runProg(t *testing.T, cfg Config, build func(b *isa.Builder)) *Stats {
 	build(b)
 	b.HALT()
 	m := emu.New(b.Build(), simmem.New(1<<18), 0x80000)
-	e := NewEngine(cfg, MachineStream{M: m})
+	e := NewEngine(cfg, &MachineStream{M: m})
 	e.WarmCode(4096)
 	e.WarmData(simmem.Base, 1<<16)
 	st, err := e.Run()
@@ -175,4 +177,40 @@ func TestAliasedSboxOrdersAfterStores(t *testing.T) {
 	if stC.Cycles < stP.Cycles {
 		t.Fatalf("conservative aliasing (%d) faster than perfect (%d)", stC.Cycles, stP.Cycles)
 	}
+}
+
+// TestRunReleasesEngine pins that a run's result does not keep its engine
+// reachable: callers cache *Stats for whole sweeps, and an engine holds
+// the memory model, alias slabs, queues and its stream — for a replay,
+// the trace's full record slab.
+func TestRunReleasesEngine(t *testing.T) {
+	collected := make(chan struct{})
+	st := func() *Stats {
+		b := isa.NewBuilder("t", isa.FeatOpt)
+		for i := 0; i < 64; i++ {
+			b.ADDQI(isa.R1, 1, isa.R1)
+		}
+		b.HALT()
+		m := emu.New(b.Build(), simmem.New(1<<18), 0x80000)
+		e := NewEngine(FourWide, &MachineStream{M: m})
+		runtime.SetFinalizer(e, func(*Engine) { close(collected) })
+		st, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if st.Instructions != 65 {
+				t.Fatalf("returned stats report %d instructions, want 65", st.Instructions)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(st)
+	t.Fatal("engine still reachable after 20 collections with only its *Stats held")
 }

@@ -25,7 +25,7 @@ func runKernel(t *testing.T, cfg ooo.Config, feat isa.Feature, bytes int) *ooo.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ooo.NewEngine(cfg, ooo.MachineStream{M: m})
+	eng := ooo.NewEngine(cfg, &ooo.MachineStream{M: m})
 	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
 	eng.WarmCode(len(m.Prog.Code))
 	st, err := eng.Run()

@@ -27,7 +27,7 @@ func newSteadyEngine(t *testing.T, cfg Config, warmCycles int) (*Engine, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(cfg, MachineStream{M: m})
+	e := NewEngine(cfg, &MachineStream{M: m})
 	e.WarmData(kernels.CtxAddr, k.CtxBytes)
 	e.WarmCode(len(m.Prog.Code))
 	for i := 0; i < warmCycles; i++ {

@@ -75,7 +75,7 @@ func TestDetectROBEntryCorruption(t *testing.T) {
 	t.Run("pendingDeps", func(t *testing.T) {
 		e := cleanEngine(t, FourWide)
 		en := inFlight(t, e, in)
-		en.pendingDeps = -1 - int32(in.Intn(100))
+		en.pendingDeps = -1 - int8(in.Intn(100))
 		wantViolation(t, e, "rob-entry")
 	})
 	t.Run("kind", func(t *testing.T) {
@@ -244,7 +244,7 @@ func checkedStats(t *testing.T, cfg Config) *Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(cfg, MachineStream{M: m})
+	e := NewEngine(cfg, &MachineStream{M: m})
 	e.WarmData(kernels.CtxAddr, k.CtxBytes)
 	e.WarmCode(len(m.Prog.Code))
 	st, err := e.Run()
@@ -283,7 +283,7 @@ func TestCycleBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewEngine(cfg, MachineStream{M: m}).Run()
+	_, err = NewEngine(cfg, &MachineStream{M: m}).Run()
 	if !check.IsBudget(err) {
 		t.Fatalf("Run returned %v, want a *check.BudgetError", err)
 	}
@@ -304,7 +304,7 @@ func TestRunawayStreamFails(t *testing.T) {
 	b.BR("loop")
 	m := emu.New(b.Build(), simmem.New(0), 0x80000)
 	m.MaxInsts = 20_000
-	_, err := NewEngine(FourWide, MachineStream{M: m}).Run()
+	_, err := NewEngine(FourWide, &MachineStream{M: m}).Run()
 	if err == nil {
 		t.Fatal("Run succeeded over a budget-faulted stream")
 	}

@@ -158,14 +158,14 @@ func (e *Engine) EnableProfile(codeLen int) *Profile {
 // blamePC picks the static instruction charged with this cycle's unused
 // commit slots — the per-PC counterpart of headBlame. With instructions
 // in flight it is the reorder-buffer head; with an empty window it is the
-// instruction the front end is about to deliver (the peeked stream
-// record), or the last retired PC once the stream has drained.
+// instruction the front end is about to deliver (the record an I-cache
+// miss stopped fetch on), or the last retired PC.
 func (e *Engine) blamePC() int32 {
 	if e.headSeq != e.tailSeq {
 		return e.at(e.headSeq).idx
 	}
-	if e.pending != nil {
-		return int32(e.pending.Idx)
+	if e.peeked {
+		return int32(e.recs[e.recPos].Idx)
 	}
 	return e.lastRetired
 }

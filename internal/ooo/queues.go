@@ -104,14 +104,24 @@ type aliasSlab [1 << aliasPageShift]uint64
 // a page table of dense slabs fronted by a small direct-mapped page cache
 // makes both the per-store set and the per-load get map-free on the hot
 // path. A single cached page is not enough: loads hitting the context
-// page alternate with stores to the session buffer and thrash it.
+// page alternate with stores to the session buffer and thrash it. A way
+// may cache a page's absence (nil slab): loads from pages no store has
+// touched, such as the context and the input buffer, then skip the map too.
 type aliasMap struct {
 	pages map[uint64]*aliasSlab
 	tag   [aliasWays]uint64
 	way   [aliasWays]*aliasSlab
 }
 
-const aliasWays = 8 // power of two; indexed by page low bits
+const (
+	aliasWayBits = 4
+	aliasWays    = 1 << aliasWayBits
+)
+
+// aliasWay picks a page's cache way with a Fibonacci hash: the context and
+// session buffers sit at large power-of-two strides, which an index of the
+// page's low bits would fold onto the same way.
+func aliasWay(page uint64) uint64 { return page * 0x9E3779B97F4A7C15 >> (64 - aliasWayBits) }
 
 func newAliasMap() aliasMap {
 	a := aliasMap{pages: make(map[uint64]*aliasSlab)}
@@ -132,9 +142,9 @@ func (a *aliasMap) setRange(addr, n, v uint64) {
 		if c > n {
 			c = n
 		}
-		i := page & (aliasWays - 1)
+		i := aliasWay(page)
 		s := a.way[i]
-		if a.tag[i] != page {
+		if a.tag[i] != page || s == nil {
 			s = a.pages[page]
 			if s == nil {
 				s = new(aliasSlab)
@@ -160,15 +170,15 @@ func (a *aliasMap) getMax(addr, n uint64) uint64 {
 		if c > n {
 			c = n
 		}
-		i := page & (aliasWays - 1)
+		i := aliasWay(page)
 		s := a.way[i]
 		if a.tag[i] != page {
 			s = a.pages[page]
-			if s == nil {
-				addr, n = addr+c, n-c
-				continue
-			}
 			a.tag[i], a.way[i] = page, s
+		}
+		if s == nil {
+			addr, n = addr+c, n-c
+			continue
 		}
 		for j := uint64(0); j < c; j++ {
 			if s[off+j] > dep {
