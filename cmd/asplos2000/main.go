@@ -93,18 +93,6 @@ type sweepProgressView struct {
 	LastCellSeconds float64 `json:"last_cell_seconds,omitempty"`
 }
 
-// cellBudget maps the -chunks/-sample flags to an experiments budget
-// (nil = exact).
-func cellBudget(chunks, sample int) *experiments.CellBudget {
-	switch {
-	case chunks > 1:
-		return &experiments.CellBudget{Mode: experiments.BudgetChunked, Chunks: chunks}
-	case sample > 1:
-		return &experiments.CellBudget{Mode: experiments.BudgetSampled, SampleIntervals: sample}
-	}
-	return nil
-}
-
 // writeCheckpoint persists the sweep checkpoint, creating the directory if
 // needed (the default path lives inside the store dir, which a -no-store
 // run never created). Best-effort: a failed checkpoint write must not mask
@@ -133,7 +121,6 @@ func run() int {
 	profileTop := flag.Int("profile-top", 5, "hot PCs per cell in the -profile report")
 	diffSpec := flag.String("diff", "", "append a bottleneck-shift report diffing two ISA variants, e.g. rot:opt or rot/4W:opt/4W+ (differential cycle accounting per cipher×model)")
 	timeline := flag.String("timeline", "", "write a span timeline of this invocation as Chrome trace-event JSON (load in Perfetto or chrome://tracing)")
-	chunks := flag.Int("chunks", 0, "run kernel-timing cells as time-parallel chunked replay with this many chunks (0 = exact serial; cycles carry a seam-bounded error)")
 	sample := flag.Int("sample", 0, "run kernel-timing cells by sampling this many intervals per session (0 = exact serial; cycles are extrapolated estimates)")
 	storeDir := flag.String("store-dir", ".simstore", "persistent content-addressed store directory (traces + cell results across invocations)")
 	storeBudget := flag.Int64("store-budget", 2<<30, "persistent store byte budget (LRU-evicted)")
@@ -221,23 +208,17 @@ func run() int {
 		}
 	}
 
-	// The approximate execution modes trade exactness for throughput, so
-	// they may never produce the repo's golden outputs: -write is refused
-	// while a budget is active.
-	if *chunks > 1 && *sample > 1 {
-		fmt.Fprintln(os.Stderr, "asplos2000: -chunks and -sample are mutually exclusive")
-		return harness.ExitUsage
-	}
-	if b := cellBudget(*chunks, *sample); b != nil {
+	// Interval sampling trades exactness for throughput, so it may never
+	// produce the repo's golden outputs: -write is refused under -sample.
+	if *sample > 1 {
 		if *write {
-			fmt.Fprintln(os.Stderr, "asplos2000: refusing -write under -chunks/-sample: EXPERIMENTS.md must come from exact serial runs")
+			fmt.Fprintln(os.Stderr, "asplos2000: refusing -write under -sample: EXPERIMENTS.md must come from exact serial runs")
 			return harness.ExitUsage
 		}
-		experiments.SetCellBudget(b)
+		experiments.SetCellBudget(&experiments.CellBudget{Mode: experiments.BudgetSampled, SampleIntervals: *sample})
 		defer func() {
 			if n := experiments.ApproxCellCount(); n > 0 {
-				fmt.Fprintf(os.Stderr, "approximate modes: %d cell(s) ran %s — cycle counts are estimates with the documented error bounds\n",
-					n, map[experiments.BudgetMode]string{experiments.BudgetChunked: "chunked", experiments.BudgetSampled: "sampled"}[b.Mode])
+				fmt.Fprintf(os.Stderr, "approximate mode: %d cell(s) ran sampled — cycle counts are estimates with the documented error bounds\n", n)
 			}
 		}()
 	}

@@ -1,11 +1,10 @@
 // Command simbench measures the simulator's own speed — simulated MIPS
 // per machine model, steady-state allocation rate, trace record/replay
-// cost, persistent-store cold vs warm trace acquisition, time-parallel
-// chunked replay and interval sampling (speed and accuracy vs the serial
-// golden run), and the serial vs parallel wall time of the full
-// experiment sweep — and writes the result as machine-readable JSON
-// (BENCH_PR8.json by default) so performance trajectories can be compared
-// across commits.
+// cost, persistent-store cold vs warm trace acquisition, interval
+// sampling (speed and accuracy vs the serial golden run), and the serial
+// vs parallel wall time of the full experiment sweep — and writes the
+// result as machine-readable JSON (BENCH_PR8.json by default) so
+// performance trajectories can be compared across commits.
 // Every run also appends one record to a persistent ledger
 // (.simledger/ledger.jsonl); -history reads the ledger back, compares the
 // newest run against a rolling baseline of earlier comparable runs, and
@@ -81,9 +80,8 @@ type result struct {
 	LedgerKey          string       `json:"ledger_key,omitempty"`
 	TraceRecordSeconds float64      `json:"trace_record_seconds"`
 	Models             []modelBench `json:"models"`
-	// ChunkedBench/SampledBench measure the approximate replay modes
-	// against the serial models above (same workload, same trace).
-	ChunkedBench []chunkBench  `json:"chunked_bench,omitempty"`
+	// SampledBench measures interval sampling against the serial models
+	// above (same workload, same trace).
 	SampledBench []sampleBench `json:"sampled_bench,omitempty"`
 	// StoreBench measures the persistent store's trace tier: cold
 	// (record + write-through persist) vs warm (fault-in from disk)
@@ -148,27 +146,6 @@ func benchModel(cfg ooo.Config) (modelBench, error) {
 	return mb, nil
 }
 
-// chunkBench is one model's time-parallel chunked-replay measurement:
-// wall speed at an explicit worker override, plus the accuracy of the
-// stitched cycle count against the serial golden run. On a single-CPU
-// host the workers serialize and SpeedupVsSerial hovers near (or below)
-// 1; the field is honest wall clock, not an extrapolation.
-type chunkBench struct {
-	Model           string  `json:"model"`
-	Chunks          int     `json:"chunks"`
-	Workers         int     `json:"workers"`
-	Instructions    uint64  `json:"simulated_instructions"`
-	SecPerRun       float64 `json:"seconds_per_run"`
-	SimMIPS         float64 `json:"simulated_mips"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	// IdealSpeedup is the simulated-work ratio serial/slowest-chunk — the
-	// wall-clock speedup the same run reaches once every chunk worker has
-	// its own core.
-	IdealSpeedup   float64 `json:"ideal_speedup"`
-	CycleRelErr    float64 `json:"cycle_rel_err"`
-	DiscardedInsts uint64  `json:"discarded_insts"`
-}
-
 // sampleBench is one model's interval-sampling measurement. SimMIPS rates
 // the instructions actually simulated (measured windows plus warmup);
 // EffectiveSimMIPS rates the instructions the extrapolation represents —
@@ -193,37 +170,6 @@ func relErr(got, want uint64) float64 {
 		d = -d
 	}
 	return d / float64(want)
-}
-
-// benchChunked measures chunked replay for one model against its serial
-// measurement (which also warmed the trace cache).
-func benchChunked(cfg ooo.Config, serial modelBench, chunks, workers int) (chunkBench, error) {
-	opt := harness.ChunkOptions{Chunks: chunks, Workers: workers}
-	st, rep, err := harness.TimeKernelChunked(benchCipher, isa.FeatRot, cfg, benchSession, experiments.DefaultSeed, opt)
-	if err != nil {
-		return chunkBench{}, err
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := harness.TimeKernelChunked(benchCipher, isa.FeatRot, cfg, benchSession, experiments.DefaultSeed, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sec := r.T.Seconds() / float64(r.N)
-	slowestChunk := st.Instructions/uint64(rep.Chunks) + uint64(rep.WarmupInsts)
-	return chunkBench{
-		Model:           cfg.Name,
-		Chunks:          rep.Chunks,
-		Workers:         rep.Workers,
-		Instructions:    st.Instructions,
-		SecPerRun:       sec,
-		SimMIPS:         float64(st.Instructions) / sec / 1e6,
-		SpeedupVsSerial: serial.SecPerRun / sec,
-		IdealSpeedup:    float64(st.Instructions) / float64(slowestChunk),
-		CycleRelErr:     relErr(st.Cycles, serial.Cycles),
-		DiscardedInsts:  rep.DiscardedInsts,
-	}, nil
 }
 
 // benchSampled measures interval sampling for one model against its
@@ -397,25 +343,18 @@ func checkBaseline(fresh []modelBench, path string) error {
 	return nil
 }
 
-// checkAccuracy gates the approximate replay modes on the accuracy they
-// just measured against the serial golden run: chunked stitched cycles
-// within 5%, sampled extrapolated cycles within 15%. These are the same
-// bounds the harness tests enforce; failing here means the modes drifted
-// on the real bench workload.
-func checkAccuracy(chunked []chunkBench, sampled []sampleBench) error {
+// checkAccuracy gates interval sampling on the accuracy it just measured
+// against the serial golden run: extrapolated cycles within 15%. Failing
+// here means the sampler drifted on the real bench workload.
+func checkAccuracy(sampled []sampleBench) error {
 	var bad []string
-	for _, c := range chunked {
-		if c.CycleRelErr > 0.05 {
-			bad = append(bad, fmt.Sprintf("chunked %s: cycle error %.4f > 0.05", c.Model, c.CycleRelErr))
-		}
-	}
 	for _, s := range sampled {
 		if s.CycleRelErr > 0.15 {
 			bad = append(bad, fmt.Sprintf("sampled %s: cycle error %.4f > 0.15", s.Model, s.CycleRelErr))
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("approximate-mode accuracy gate failed:\n  %v", bad)
+		return fmt.Errorf("sampling accuracy gate failed:\n  %v", bad)
 	}
 	return nil
 }
@@ -523,8 +462,6 @@ func main() { os.Exit(run()) }
 func run() int {
 	out := flag.String("o", "BENCH_PR8.json", "output file (\"-\" for stdout)")
 	skipSweep := flag.Bool("nosweep", false, "skip the full-suite sweep timing (much faster)")
-	chunks := flag.Int("chunks", 8, "chunk count for the chunked-replay benchmark (0 disables)")
-	chunkWorkers := flag.Int("chunkworkers", 8, "explicit worker override for the chunked-replay benchmark")
 	sample := flag.Int("sample", 4, "interval count for the sampling benchmark (0 disables)")
 	storeDir := flag.String("store-dir", "", "install a persistent store for the whole run (\"\" = none; the store micro-benchmark uses its own temp stores either way)")
 	storeBudget := flag.Int64("store-budget", 2<<30, "persistent store byte budget (LRU-evicted)")
@@ -662,22 +599,12 @@ func run() int {
 		if interrupted() {
 			break
 		}
-		setPhase("approx-modes " + cfg.Name)
+		setPhase("sampled " + cfg.Name)
 		var serial modelBench
 		for _, m := range res.Models {
 			if m.Model == cfg.Name {
 				serial = m
 			}
-		}
-		if *chunks > 1 {
-			cb, err := benchChunked(cfg, serial, *chunks, *chunkWorkers)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "simbench:", err)
-				return harness.ExitError
-			}
-			fmt.Fprintf(os.Stderr, "%-4s %8.1f ms/run (chunked x%d/%dw)  %6.2f sim-MIPS  %.2fx vs serial  cycle err %.4f\n",
-				cb.Model, 1e3*cb.SecPerRun, cb.Chunks, cb.Workers, cb.SimMIPS, cb.SpeedupVsSerial, cb.CycleRelErr)
-			res.ChunkedBench = append(res.ChunkedBench, cb)
 		}
 		if *sample > 1 {
 			sb, err := benchSampled(cfg, serial, *sample)
@@ -765,14 +692,8 @@ func run() int {
 				IPC: m.IPC, StallShares: m.StallShares,
 			})
 		}
-		// The approximate modes ride the same ledger under derived model
-		// names, so -history tracks their trajectories too: chunked by
-		// replay throughput, sampled by effective (represented) throughput.
-		for _, c := range res.ChunkedBench {
-			rec.Models = append(rec.Models, metrics.LedgerModel{
-				Model: c.Model + "/c" + fmt.Sprint(c.Chunks), SimMIPS: c.SimMIPS,
-			})
-		}
+		// Sampling rides the same ledger under a derived model name, so
+		// -history tracks its effective (represented) throughput too.
 		for _, s := range res.SampledBench {
 			rec.Models = append(rec.Models, metrics.LedgerModel{
 				Model: s.Model + "/s" + fmt.Sprint(s.Intervals), SimMIPS: s.EffectiveSimMIPS,
@@ -793,7 +714,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "simbench:", err)
 			return harness.ExitError
 		}
-		if err := checkAccuracy(res.ChunkedBench, res.SampledBench); err != nil {
+		if err := checkAccuracy(res.SampledBench); err != nil {
 			fmt.Fprintln(os.Stderr, "simbench:", err)
 			return harness.ExitError
 		}

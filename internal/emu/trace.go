@@ -79,9 +79,9 @@ var sumBufs = sync.Pool{New: func() any { return new([ChecksumBatchRecs * TraceR
 // payload. The trace cache stores it at record time (or takes it from the
 // store's verified header at fault-in) and checks the retained records
 // against it: on every serial stream request, and on the first and every
-// 64th traceFor request of the sampled and chunked paths. A bit flipped in
-// a retained trace (memory corruption, a stray write through a stale
-// slice) is thus caught before it silently skews a timing run.
+// 64th traceFor request of the sampled path. A bit flipped in a retained
+// trace (memory corruption, a stray write through a stale slice) is thus
+// caught before it silently skews a timing run.
 func ChecksumRecs(recs []TraceRec) uint64 {
 	buf := sumBufs.Get().(*[ChecksumBatchRecs * TraceRecBytes]byte)
 	defer sumBufs.Put(buf)
@@ -219,8 +219,8 @@ func (t *Trace) Stream() *ReplayStream {
 }
 
 // StreamAt starts a replay of the half-open record window [start, end).
-// Chunked replay uses it to hand each worker its own window (warmup prefix
-// plus measured body) over the shared immutable record slab. Bounds are
+// Interval sampling uses it to replay each window (warmup prefix plus
+// measured body) over the shared immutable record slab. Bounds are
 // clamped to the trace; an empty or inverted window yields an immediately
 // exhausted stream.
 func (t *Trace) StreamAt(start, end int) *ReplayStream {
@@ -265,17 +265,7 @@ type ResumeStream struct {
 // Resume builds a stream over the (partial) trace followed by live
 // execution of m, which must be the machine Record stopped in.
 func (t *Trace) Resume(m *Machine) *ResumeStream {
-	return t.ResumeAt(m, 0)
-}
-
-// ResumeAt builds a stream that replays records [start, len) of the trace
-// and then continues live on m, which must be positioned exactly after the
-// trace's last record (as Record leaves it, or a Snapshot of that machine
-// materialized). This is the chunk-addressable form of Resume: the final
-// chunk of an oversized trace replays only its own window of the recorded
-// prefix before going live.
-func (t *Trace) ResumeAt(m *Machine, start int) *ResumeStream {
-	return &ResumeStream{rs: *t.StreamAt(start, len(t.Recs)), m: m}
+	return &ResumeStream{rs: ReplayStream{prog: t.Prog, recs: t.Recs}, m: m}
 }
 
 // Program is the static program the records index.

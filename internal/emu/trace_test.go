@@ -156,3 +156,49 @@ func TestRecordReusesBuffer(t *testing.T) {
 		t.Fatal("Record reallocated a buffer that had sufficient capacity")
 	}
 }
+
+// refTrace records the complete blowfish stream once for comparison.
+func refTrace(t testing.TB, session int) *emu.Trace {
+	t.Helper()
+	rm, _ := newPair(t, "blowfish", isa.FeatRot, session)
+	tr, done := emu.Record(rm, 0, nil)
+	if !done {
+		t.Fatal("reference record incomplete")
+	}
+	return tr
+}
+
+// TestStreamAt pins the sampling-window contract: StreamAt(s,e) delivers
+// exactly the records of the full stream's [s,e) window, and bounds are
+// clamped rather than panicking.
+func TestStreamAt(t *testing.T) {
+	tr := refTrace(t, 128)
+	n := len(tr.Recs)
+	full := drain(t, tr.Stream())
+	windows := [][2]int{{0, n}, {0, 1}, {1, n}, {n / 3, 2 * n / 3}, {n - 1, n}, {n, n}}
+	for _, w := range windows {
+		s := tr.StreamAt(w[0], w[1])
+		if got, want := s.InstCount(), w[1]-w[0]; got != want {
+			t.Fatalf("window %v: InstCount %d, want %d", w, got, want)
+		}
+		got := drain(t, s)
+		if len(got) != w[1]-w[0] {
+			t.Fatalf("window %v: stream delivered %d records, want %d", w, len(got), w[1]-w[0])
+		}
+		for i, r := range got {
+			if r != full[w[0]+i] {
+				t.Fatalf("window %v rec %d mismatch:\nwindow %+v\nfull   %+v", w, w[0]+i, r, full[w[0]+i])
+			}
+		}
+		if _, ok := s.Next(); ok {
+			t.Fatalf("window %v: stream overruns its end", w)
+		}
+	}
+	// Clamped forms: negative start, end past the trace, inverted window.
+	if tr.StreamAt(-5, n+5).InstCount() != n {
+		t.Fatal("out-of-range window not clamped to the trace")
+	}
+	if tr.StreamAt(10, 5).InstCount() != 0 {
+		t.Fatal("inverted window not clamped to empty")
+	}
+}

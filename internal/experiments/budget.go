@@ -10,12 +10,11 @@ import (
 // Per-cell simulation budget. The sweep's default is the exact serial
 // path — every published table and figure is regenerated bit-identically.
 // A budget switches CellKernel timing cells (the bulk of sweep work) to
-// one of the approximate execution modes from the harness: time-parallel
-// chunked replay (exact instruction counts, seam-bounded cycles) or
-// interval sampling (extrapolated cycles with a reported dispersion
-// bound). Cells that have no trace to address fall back to exact runs on
-// their own; ApproxCellCount says how many cells actually took an
-// approximate path, so front-ends can refuse to write golden outputs
+// the harness's approximate execution mode, interval sampling
+// (extrapolated cycles with a reported dispersion bound). Cells that have
+// no trace to address, or are too short to sample, fall back to exact
+// runs on their own; ApproxCellCount says how many cells actually took
+// the approximate path, so front-ends can refuse to write golden outputs
 // produced under a budget.
 
 // BudgetMode selects how CellKernel cells execute.
@@ -24,8 +23,6 @@ type BudgetMode int
 const (
 	// BudgetExact is the golden serial path (the default).
 	BudgetExact BudgetMode = iota
-	// BudgetChunked runs time-parallel chunked replay.
-	BudgetChunked
 	// BudgetSampled runs interval sampling.
 	BudgetSampled
 )
@@ -34,13 +31,11 @@ const (
 // Zero-valued fields take the harness defaults.
 type CellBudget struct {
 	Mode BudgetMode
-	// Chunks is the chunk count for BudgetChunked.
-	Chunks int
 	// SampleIntervals and SampleIntervalInsts are K and L for
 	// BudgetSampled.
 	SampleIntervals     int
 	SampleIntervalInsts int
-	// WarmupInsts overrides the per-chunk / per-interval warmup prefix.
+	// WarmupInsts overrides the per-interval warmup prefix.
 	WarmupInsts int
 }
 
@@ -60,9 +55,8 @@ func SetCellBudget(b *CellBudget) *CellBudget {
 // GetCellBudget returns the installed budget (nil means exact).
 func GetCellBudget() *CellBudget { return cellBudget.Load() }
 
-// ApproxCellCount returns how many cells have executed through an
-// approximate path (chunked or genuinely sampled) since process start.
-// Serial and exact fallbacks under a budget do not count.
+// ApproxCellCount returns how many cells have been genuinely sampled
+// since process start. Exact fallbacks under a budget do not count.
 func ApproxCellCount() int64 { return approxCells.Load() }
 
 // timeKernelCell executes a CellKernel cell, honoring the installed
@@ -71,24 +65,13 @@ func ApproxCellCount() int64 { return approxCells.Load() }
 // semantics.
 func timeKernelCell(c Cell) (*ooo.Stats, error) {
 	b := cellBudget.Load()
-	if b == nil || b.Mode == BudgetExact {
+	if b == nil || b.Mode != BudgetSampled {
 		return harness.TimeKernel(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
 	}
-	switch b.Mode {
-	case BudgetChunked:
-		st, rep, err := harness.TimeKernelChunked(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed,
-			harness.ChunkOptions{Chunks: b.Chunks, WarmupInsts: b.WarmupInsts})
-		if err == nil && !rep.Serial {
-			approxCells.Add(1)
-		}
-		return st, err
-	case BudgetSampled:
-		st, rep, err := harness.TimeKernelSampled(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed,
-			harness.SampleOptions{Intervals: b.SampleIntervals, IntervalInsts: b.SampleIntervalInsts, WarmupInsts: b.WarmupInsts})
-		if err == nil && !rep.Exact {
-			approxCells.Add(1)
-		}
-		return st, err
+	st, rep, err := harness.TimeKernelSampled(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed,
+		harness.SampleOptions{Intervals: b.SampleIntervals, IntervalInsts: b.SampleIntervalInsts, WarmupInsts: b.WarmupInsts})
+	if err == nil && !rep.Exact {
+		approxCells.Add(1)
 	}
-	return harness.TimeKernel(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
+	return st, err
 }

@@ -15,10 +15,9 @@ func budgetRelErr(got, want uint64) float64 {
 }
 
 // TestCellBudgetModes pins the budget dispatch: the default is the exact
-// serial path, a chunked budget keeps instruction counts exact with
-// seam-bounded cycles, a sampled budget keeps instruction counts exact
-// with bounded extrapolation error, and each approximate execution is
-// counted for the front-ends' refuse-to-write check.
+// serial path, a sampled budget keeps instruction counts exact with
+// bounded extrapolation error, and each approximate execution is counted
+// for the front-ends' refuse-to-write check.
 func TestCellBudgetModes(t *testing.T) {
 	prev := SetCellBudget(nil)
 	defer SetCellBudget(prev)
@@ -28,26 +27,9 @@ func TestCellBudgetModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	SetCellBudget(&CellBudget{Mode: BudgetChunked, Chunks: 8})
-	ResetCache()
-	before := ApproxCellCount()
-	ch, err := timed("blowfish", isa.FeatRot, ooo.FourWide, 2048, DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Instructions != exact.Instructions {
-		t.Fatalf("chunked budget: %d insts, exact %d", ch.Instructions, exact.Instructions)
-	}
-	if e := budgetRelErr(ch.Cycles, exact.Cycles); e > 0.05 {
-		t.Fatalf("chunked budget: cycle error %.4f beyond seam bound", e)
-	}
-	if ApproxCellCount() != before+1 {
-		t.Fatalf("chunked cell not counted as approximate (%d -> %d)", before, ApproxCellCount())
-	}
-
 	SetCellBudget(&CellBudget{Mode: BudgetSampled, SampleIntervals: 8, SampleIntervalInsts: 1024, WarmupInsts: 2048})
 	ResetCache()
-	before = ApproxCellCount()
+	before := ApproxCellCount()
 	sa, err := timed("blowfish", isa.FeatRot, ooo.FourWide, 2048, DefaultSeed)
 	if err != nil {
 		t.Fatal(err)

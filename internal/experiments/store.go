@@ -19,9 +19,9 @@ import (
 // only cells whose identity — engine version, emulator version, kernel
 // bytes, session parameters, machine configuration — the current tree
 // changed. Cells running under an approximate CellBudget bypass the store
-// in both directions: chunked and sampled results carry error bounds and
-// must never be served where exact results are expected (the same honesty
-// rule as the -write refusal under a budget).
+// in both directions: sampled results carry error bounds and must never
+// be served where exact results are expected (the same honesty rule as
+// the -write refusal under a budget).
 
 // cellStoreKey derives the result-tier store key of a cell, or ok=false
 // for cells whose identity cannot be derived (unknown cipher, kind without

@@ -146,12 +146,18 @@ func TestStoreBudgetBypass(t *testing.T) {
 		t.Fatalf("exact cell was not persisted: %+v", st)
 	}
 
-	// Under a budget the same cell must not touch the store.
-	defer SetCellBudget(SetCellBudget(&CellBudget{Mode: BudgetChunked, Chunks: 2}))
+	// Under a budget the same cell must not touch the store. The windows
+	// are short enough that the 1 KB session is really sampled rather than
+	// falling back to an exact run.
+	defer SetCellBudget(SetCellBudget(&CellBudget{Mode: BudgetSampled, SampleIntervals: 2, SampleIntervalInsts: 1024, WarmupInsts: 1024}))
 	ResetCache()
+	before := ApproxCellCount()
 	r := getCell(c)
 	if r.err != nil {
 		t.Fatal(r.err)
+	}
+	if ApproxCellCount() != before+1 {
+		t.Fatalf("budgeted cell was not sampled (approximate cells %d -> %d)", before, ApproxCellCount())
 	}
 	st := store.ReadStats()
 	if st.ResultHits != 0 || st.ResultMisses != 0 || st.Writes != 0 {

@@ -129,7 +129,7 @@ func TestCancellationErrorNotCached(t *testing.T) {
 	var calls atomic.Int32
 	withOverride(t, func(c Cell, r *cellResult) bool {
 		if calls.Add(1) == 1 {
-			r.err = context.Canceled // a chunk boundary saw the cancelled context
+			r.err = context.Canceled // an interval boundary saw the cancelled context
 		} else {
 			r.n = 9
 		}

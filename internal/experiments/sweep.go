@@ -266,14 +266,13 @@ func SweepObserved(cells []Cell, progress SweepProgress) {
 
 // SweepObservedCtx is the supervised sweep: SweepObserved under a context.
 // Cancelling ctx stops the sweep at the next cooperative boundary — no new
-// cell is dispatched, and harness orchestrators (chunked replay, interval
-// sampling) stop between chunks — while cells already inside the engine's
-// cycle loop finish and land normally, so every completed cell is exact
-// and storable. The returned outcome reports every unique cell's fate:
-// done, failed, panicked, timed out, cancelled mid-flight, or never
-// started. A cancelled sweep's partial outcome is the input to checkpoint
-// assembly; re-running the same grid resumes from whatever the store and
-// cache already hold.
+// cell is dispatched, and the interval sampler stops between windows —
+// while cells already inside the engine's cycle loop finish and land
+// normally, so every completed cell is exact and storable. The returned
+// outcome reports every unique cell's fate: done, failed, panicked, timed
+// out, cancelled mid-flight, or never started. A cancelled sweep's
+// partial outcome is the input to checkpoint assembly; re-running the
+// same grid resumes from whatever the store and cache already hold.
 func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress) *SweepOutcome {
 	if ctx == nil {
 		ctx = context.Background()
@@ -373,11 +372,9 @@ func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress)
 		go func(w int) {
 			defer wg.Done()
 			// Hold a token from the process-wide worker budget for the
-			// goroutine's lifetime, so nested orchestrators (chunked replay,
-			// interval sampling) see the machine as busy and degrade to fewer
-			// workers instead of oversubscribing it quadratically. The
-			// blocking acquire is safe at this level: sweep workers hold no
-			// other tokens, so they only ever wait on each other.
+			// goroutine's lifetime, so the budget caps how many cells
+			// simulate at once. Cells take no tokens of their own, so the
+			// blocking acquire only ever waits on other sweep workers.
 			harness.AcquireWorker()
 			defer harness.ReleaseWorker()
 			tl.BindTrack(w)

@@ -5,18 +5,13 @@ import (
 	"sync"
 )
 
-// Shared worker budget. Two schedulers want the machine's cores: the
-// experiment sweep runs cells in parallel, and inside one cell the
-// time-parallel chunked replay (chunked.go) and interval sampler
-// (sampled.go) want workers of their own. Without coordination the two
-// levels multiply — a GOMAXPROCS-wide sweep whose every cell spawns
-// GOMAXPROCS chunk workers oversubscribes the machine quadratically. One
-// process-wide token pool, sized to GOMAXPROCS, is shared by both levels:
-// sweep workers block until they hold a token (the sweep owns its
-// concurrency, so waiting is correct), while intra-cell orchestrators only
-// try-acquire whatever is free and degrade to fewer workers — down to
-// inline-serial — when the sweep has the machine saturated. Because the
-// inner level never blocks on the pool, nesting cannot deadlock.
+// Worker budget. One process-wide token pool, sized to GOMAXPROCS, caps
+// how many goroutines simulate at once. Only top-level schedulers take
+// tokens — the experiment sweep, one per worker for the worker's
+// lifetime, and benchmark drivers — and they block until one is free.
+// Work inside a cell (interval sampling included) runs in the goroutine
+// that holds the cell's token and takes none of its own, so nothing
+// nests and nothing can deadlock on the pool.
 
 type workerBudget struct {
 	mu    sync.Mutex
@@ -54,9 +49,7 @@ func SetWorkerBudget(n int) int {
 	return prev
 }
 
-// AcquireWorker blocks until a worker token is free and takes it. Only
-// top-level schedulers (the sweep) may block; nested orchestrators must
-// use TryAcquireWorkers or risk deadlock against their own parent.
+// AcquireWorker blocks until a worker token is free and takes it.
 func AcquireWorker() {
 	budget.mu.Lock()
 	for budget.inUse >= budget.cap {
@@ -67,38 +60,10 @@ func AcquireWorker() {
 }
 
 // ReleaseWorker returns one token taken with AcquireWorker.
-func ReleaseWorker() { ReleaseWorkers(1) }
-
-// TryAcquireWorkers takes up to n tokens without blocking and returns how
-// many it got (possibly zero). The chunk and sampling orchestrators call
-// this: whatever is free becomes extra parallelism, and zero means "run
-// inline on the token the caller already holds".
-func TryAcquireWorkers(n int) int {
-	if n <= 0 {
-		return 0
-	}
+func ReleaseWorker() {
 	budget.mu.Lock()
-	got := budget.cap - budget.inUse
-	if got > n {
-		got = n
-	}
-	if got < 0 {
-		got = 0
-	}
-	budget.inUse += got
-	budget.mu.Unlock()
-	return got
-}
-
-// ReleaseWorkers returns n tokens to the pool.
-func ReleaseWorkers(n int) {
-	if n <= 0 {
-		return
-	}
-	budget.mu.Lock()
-	budget.inUse -= n
-	if budget.inUse < 0 {
-		budget.inUse = 0
+	if budget.inUse > 0 {
+		budget.inUse--
 	}
 	budget.mu.Unlock()
 	budget.cond.Broadcast()

@@ -1,13 +1,11 @@
 package harness
 
 // Cooperative cancellation. The supervised sweep installs its context
-// here for the duration of a run; long-running harness orchestrators — the
-// chunked-replay worker loop, the interval sampler — poll Cancelled() at
-// their natural boundaries (between chunks, between intervals) and return
-// the context's error instead of starting the next unit of work. A cell
-// already inside the engine's cycle loop finishes normally: cancellation
-// is cooperative and boundary-aligned, never preemptive, so every result
-// that does land is exact and storable.
+// here for the duration of a run; the interval sampler polls Cancelled()
+// between windows and returns the context's error instead of starting the
+// next one. A cell already inside the engine's cycle loop finishes
+// normally: cancellation is cooperative and boundary-aligned, never
+// preemptive, so every result that does land is exact and storable.
 
 import (
 	"context"

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"testing"
+	"time"
 
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/ooo"
@@ -87,5 +88,41 @@ func TestUnknownCipher(t *testing.T) {
 	}
 	if _, err := TimeKernel("nope", isa.FeatRot, ooo.FourWide, 64, 1); err == nil {
 		t.Fatal("unknown cipher accepted by TimeKernel")
+	}
+}
+
+// TestWorkerBudget pins the shared-pool semantics: a resize is observed by
+// WorkerBudget, each acquire takes one token, an acquire on a full pool
+// blocks, and a later resize or release hands the waiter a token.
+func TestWorkerBudget(t *testing.T) {
+	prev := SetWorkerBudget(3)
+	defer SetWorkerBudget(prev)
+	if WorkerBudget() != 3 {
+		t.Fatalf("budget %d, want 3", WorkerBudget())
+	}
+	for i := 0; i < 3; i++ {
+		AcquireWorker()
+	}
+	acquired := make(chan struct{})
+	go func() {
+		AcquireWorker()
+		close(acquired)
+	}()
+	select {
+	case <-acquired:
+		t.Fatal("acquire on a full pool did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	SetWorkerBudget(4) // the grown pool has a token for the waiter
+	<-acquired
+	for i := 0; i < 4; i++ {
+		ReleaseWorker()
+	}
+	ReleaseWorker() // an over-release floors at an empty pool
+	for i := 0; i < 4; i++ {
+		AcquireWorker()
+	}
+	for i := 0; i < 4; i++ {
+		ReleaseWorker()
 	}
 }

@@ -2,22 +2,22 @@ package harness
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/metrics"
 	"cryptoarch/internal/ooo"
 )
 
-// Interval sampling. Where chunked replay simulates every instruction of
-// a session, sampling simulates only K representative measurement windows
-// (each preceded by a warmup prefix) and extrapolates the whole-session
-// statistics from them — the methodology that makes billion-instruction
-// sessions sweepable at a bounded per-cell budget. The windows are spaced
-// evenly through the trace, so periodic phase behaviour (block boundaries,
-// key-schedule reuse) is sampled across its period. The estimate comes
+// Interval sampling simulates only K representative measurement windows
+// of a session's recorded trace (each preceded by a warmup prefix) and
+// extrapolates the whole-session statistics from them — the methodology
+// that makes billion-instruction sessions sweepable at a bounded per-cell
+// budget. The windows are spaced evenly through the trace, so periodic
+// phase behaviour (block boundaries, key-schedule reuse) is sampled
+// across its period. They run one after another in the calling goroutine:
+// inside a sweep every core is already held by a cell. The estimate comes
 // with a measured dispersion bound: the relative spread of per-interval
 // CPI, which the error-bound test validates against exact runs across all
 // eight ciphers.
@@ -26,6 +26,10 @@ import (
 const (
 	DefaultSampleIntervals     = 8
 	DefaultSampleIntervalInsts = 32768
+	// DefaultSampleWarmupInsts is the per-window warmup prefix. Sized so
+	// the 8 KB L1, the TLB and the branch-predictor tables see a
+	// representative working set before each window is measured.
+	DefaultSampleWarmupInsts = 16384
 )
 
 // SampleOptions configures TimeKernelSampled.
@@ -36,12 +40,9 @@ type SampleOptions struct {
 	// IntervalInsts is L, the measured length of each window in
 	// instructions (0 = DefaultSampleIntervalInsts).
 	IntervalInsts int
-	// WarmupInsts is the per-window warmup prefix (0 = DefaultChunkWarmup,
-	// negative = none).
+	// WarmupInsts is the per-window warmup prefix (0 =
+	// DefaultSampleWarmupInsts, negative = none).
 	WarmupInsts int
-	// Workers caps worker goroutines, with the same semantics as
-	// ChunkOptions.Workers.
-	Workers int
 }
 
 // SampleReport describes a sampled run and its measured error bound.
@@ -49,7 +50,6 @@ type SampleReport struct {
 	Intervals     int     `json:"intervals"`
 	IntervalInsts int     `json:"interval_insts"`
 	WarmupInsts   int     `json:"warmup_insts"`
-	Workers       int     `json:"workers"`
 	TotalInsts    uint64  `json:"total_insts"`
 	SampledInsts  uint64  `json:"sampled_insts"`
 	Coverage      float64 `json:"coverage"` // SampledInsts / TotalInsts
@@ -92,7 +92,7 @@ func TimeKernelSampled(cipher string, feat isa.Feature, cfg ooo.Config, sessionB
 	w := opt.WarmupInsts
 	switch {
 	case w == 0:
-		w = DefaultChunkWarmup
+		w = DefaultSampleWarmupInsts
 	case w < 0:
 		w = 0
 	}
@@ -118,96 +118,62 @@ func TimeKernelSampled(cipher string, feat isa.Feature, cfg ooo.Config, sessionB
 		}, nil
 	}
 
-	specs := make([]chunkSpec, k)
-	for i := 0; i < k; i++ {
-		s := i * n / k
-		warm := w
-		if warm > s {
-			warm = s
-		}
-		specs[i] = chunkSpec{start: s, end: s + l, warm: warm}
-	}
-
-	workers := 1
-	acquired := 0
-	if opt.Workers > 0 {
-		workers = opt.Workers
-	} else {
-		acquired = TryAcquireWorkers(k - 1)
-		workers = acquired + 1
-	}
-	if workers > k {
-		workers = k
-	}
-	defer ReleaseWorkers(acquired)
-
 	if reg := Metrics(); reg != nil {
 		reg.Counter("sample.runs").Inc()
 		reg.Counter("sample.intervals").Add(int64(k))
 	}
 	tl := CurrentTimeline()
-	parent := metrics.NoSpan
+	sp := metrics.NoSpan
 	if tl != nil {
-		parent = tl.Begin("sampled", "sampled "+cfg.Name+" "+cipher+"/"+feat.String())
+		sp = tl.Begin("sampled", "sampled "+cfg.Name+" "+cipher+"/"+feat.String())
 	}
-	defer tl.End(parent)
-
-	results := make([]chunkResult, k)
-	var next int64 = -1
-	work := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= k {
-				return
-			}
-			// Interval boundary: a cancelled run stops claiming windows,
-			// mirroring the chunked-replay cancellation point.
-			if err := Cancelled(); err != nil {
-				results[i] = chunkResult{err: err}
-				return
-			}
-			sp := metrics.NoSpan
-			if tl != nil {
-				sp = tl.BeginOn(parent, "interval", "interval "+cfg.Name)
-			}
-			results[i] = runWindow(tr, codeLen, kern.CtxBytes, cfg, specs[i], false)
-			tl.End(sp)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 1; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer tl.ReleaseTrack()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	defer tl.End(sp)
 
 	// Sum the measured windows and collect per-interval CPIs.
 	sum := &ooo.Stats{Config: cfg.Name}
 	cpis := make([]float64, 0, k)
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return nil, nil, r.err
+	for i := 0; i < k; i++ {
+		// Interval boundary: a cancelled run stops before its next window.
+		if err := Cancelled(); err != nil {
+			return nil, nil, err
 		}
-		sum.Accumulate(r.st)
-		if r.st.Instructions > 0 {
-			cpis = append(cpis, float64(r.st.Cycles)/float64(r.st.Instructions))
+		isp := metrics.NoSpan
+		if tl != nil {
+			isp = tl.Begin("interval", "interval "+cfg.Name)
+		}
+		start := i * n / k
+		st, err := runWindow(tr, codeLen, kern.CtxBytes, cfg, start, start+l, min(w, start))
+		tl.End(isp)
+		if err != nil {
+			return nil, nil, err
+		}
+		sum.Accumulate(st)
+		if st.Instructions > 0 {
+			cpis = append(cpis, float64(st.Cycles)/float64(st.Instructions))
 		}
 	}
 
 	est, rep := extrapolate(sum, cpis, uint64(n), cfg)
-	rep.Intervals, rep.IntervalInsts, rep.WarmupInsts, rep.Workers = k, l, w, workers
+	rep.Intervals, rep.IntervalInsts, rep.WarmupInsts = k, l, w
 	if reg := Metrics(); reg != nil {
 		// Parts-per-million so the power-of-two histogram buckets resolve
 		// sub-percent bounds.
 		reg.Histogram("sample.rel_err_bound_ppm").Observe(int64(rep.RelErrBound * 1e6))
 	}
 	return est, rep, nil
+}
+
+// runWindow replays the records [start-warm, end) of tr and returns the
+// measured epoch [start, end); the warm records before start are the
+// warmup prefix. The window is a zero-copy view of the trace's immutable
+// record slab.
+func runWindow(tr *emu.Trace, codeLen, ctxBytes int, cfg ooo.Config, start, end, warm int) (*ooo.Stats, error) {
+	eng := ooo.NewEngine(cfg, tr.StreamAt(start-warm, end))
+	eng.WarmData(kernels.CtxAddr, ctxBytes)
+	eng.WarmCode(codeLen)
+	eng.SetWarmup(uint64(warm))
+	eng.SetMetrics(Metrics())
+	return eng.Run()
 }
 
 // extrapolate scales the summed window stats to the whole session and

@@ -72,10 +72,8 @@ type traceEntry struct {
 // one extra model anyway.
 const maxTraceInsts = 3 << 20
 
-// traceBudgetBytes bounds total retained trace memory across the cache —
-// retained traces plus the live chunk-window copies the chunked-replay
-// orchestrator reserves (reserveChunkBytes). A variable so tests can
-// shrink it to exercise eviction pressure.
+// traceBudgetBytes bounds total retained trace memory across the cache.
+// A variable so tests can shrink it to exercise eviction pressure.
 var traceBudgetBytes = 192 << 20
 
 // recBufs pools full-capacity record buffers. Recording appends up to
@@ -487,9 +485,9 @@ func (c *traceCache) traceForChecked(k traceKey, retried bool) (*emu.Trace, int,
 	tr := e.tr
 	codeLen := e.codeLen
 	sum := e.sum
-	// Amortized integrity check: the chunk and sampling orchestrators call
-	// traceFor once per cell run, and hashing a multi-MB slab every time
-	// would dominate a sampled run that simulates only a few percent of it.
+	// Amortized integrity check: the sampler calls traceFor once per cell
+	// run, and hashing a multi-MB slab every time would dominate a sampled
+	// run that simulates only a few percent of it.
 	// Verify on the first use and every traceVerifyEvery-th use thereafter;
 	// the serial stream path keeps verifying every request.
 	e.sinceVerify++
@@ -532,33 +530,6 @@ func (c *traceCache) traceForChecked(k traceKey, retried bool) (*emu.Trace, int,
 // traceVerifyEvery is the re-verification period of traceFor's amortized
 // checksum check.
 const traceVerifyEvery = 64
-
-// reserveChunkBytes accounts a chunk warmup-window copy against the trace
-// cache's byte budget: the copies are trace memory that lives exactly as
-// long as a chunk worker runs, so they squeeze retained traces out under
-// pressure instead of silently doubling the footprint.
-func reserveChunkBytes(n int) {
-	if n <= 0 {
-		return
-	}
-	traces.mu.Lock()
-	traces.bytes += n
-	traces.evictLocked()
-	traces.mu.Unlock()
-}
-
-// releaseChunkBytes returns a chunk reservation made by reserveChunkBytes.
-func releaseChunkBytes(n int) {
-	if n <= 0 {
-		return
-	}
-	traces.mu.Lock()
-	traces.bytes -= n
-	if traces.bytes < 0 {
-		traces.bytes = 0
-	}
-	traces.mu.Unlock()
-}
 
 // StreamKernel returns the committed-path instruction stream of an
 // encryption session, served from the trace cache when possible, plus the

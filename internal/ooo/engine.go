@@ -279,8 +279,11 @@ type Engine struct {
 
 	// Warmup/measure epoch state (warmup.go). warmupLeft counts down at
 	// dispatch; when it hits zero the current counters become the base
-	// subtracted from the final stats and profile.
+	// subtracted from the final stats and profile, and warmupSeq holds the
+	// last warmup instruction until its commit takes the cycle and
+	// commit-slot bases (noSeq otherwise).
 	warmupLeft     uint64
+	warmupSeq      uint64
 	warmupBase     Stats
 	warmupBaseSet  bool
 	warmupProfBase []PCProfile
@@ -307,6 +310,7 @@ func NewEngine(cfg Config, src Stream) *Engine {
 		lastStoreByte:   newAliasMap(),
 		sboxCaches:      make([]sboxCache, cfg.NumSboxCaches),
 		windowFullCycle: ^uint64(0),
+		warmupSeq:       noSeq,
 	}
 	e.stats.Config = cfg.Name
 	e.initPools()
@@ -541,6 +545,9 @@ func (e *Engine) run() (*Stats, error) {
 		// buckets sum to exactly Cycles*IssueWidth.
 		e.account()
 		e.cycle++
+		if e.headSeq > e.warmupSeq {
+			e.closeCommitSide()
+		}
 		if e.cfg.Checked {
 			if err := e.CheckInvariants(); err != nil {
 				return nil, fmt.Errorf("ooo: %s: %w", e.cfg.Name, err)
@@ -1222,10 +1229,10 @@ func (e *Engine) wireDependencies(en *entry) {
 	}
 
 	// Warmup epoch: the dispatch of the last warmup instruction — with all
-	// its dispatch-side counters charged above — closes the epoch.
+	// its dispatch-side counters charged above — closes the dispatch side.
 	if e.warmupLeft != 0 {
 		if e.warmupLeft--; e.warmupLeft == 0 {
-			e.beginMeasure()
+			e.beginMeasure(en.seq)
 		}
 	}
 }

@@ -179,10 +179,9 @@ func (s *Stats) MispredictRate() float64 {
 	return float64(s.Mispredicts) / float64(s.Branches)
 }
 
-// Accumulate adds every counter of o into s — the stitching operation of
-// time-parallel chunked replay, where each chunk's measured epoch is a
-// disjoint window of one session and the whole-session stats are the sum
-// of the windows. Config is left as s's.
+// Accumulate adds every counter of o into s — how interval sampling sums
+// its measured windows, each a disjoint slice of one session, before
+// extrapolating to the whole session. Config is left as s's.
 func (s *Stats) Accumulate(o *Stats) {
 	s.Cycles += o.Cycles
 	s.Instructions += o.Instructions

@@ -1,28 +1,40 @@
 package ooo
 
-// Warmup/measure phase split. Time-parallel chunked replay and interval
-// sampling both run the engine over a window of a longer recorded stream:
-// a warmup prefix puts the caches, TLBs, branch predictor and SBox caches
-// into a representative state, and only the instructions after it are
-// measured. The engine supports this as a discardable stats epoch: the
-// run proceeds exactly as normal (warmup changes no timing decision), and
-// when the configured number of instructions has dispatched, the current
-// counters are snapshotted as a base that is subtracted from the final
-// stats — and, in lockstep, from the per-PC profile — before Run returns.
+// Warmup/measure phase split. Interval sampling runs the engine over
+// windows of a longer recorded stream: a warmup prefix puts the caches,
+// TLBs, branch predictor and SBox caches into a representative state, and
+// only the instructions after it are measured. The engine supports this
+// as a discardable stats epoch: the run proceeds exactly as normal (warmup
+// changes no timing decision), and when the epoch closes the current
+// counters are copied as a base that is subtracted from the final stats —
+// and, in lockstep, from the per-PC profile — before Run returns.
 //
-// Epoch boundary semantics: the boundary is the dispatch of the last
-// warmup instruction. Counters charged at dispatch (Instructions,
-// ClassCounts, Loads, Stores) split exactly at the boundary. Counters
-// charged in other stages (Branches and Mispredicts at fetch, SBox and
-// cache counters at issue) are snapshotted at the same instant, so a few
-// in-flight instructions' events can land on either side of the cut; the
-// skew is bounded by the front-end depth plus the window size and
-// vanishes in relative terms as the measured body grows — the convergence
-// property the chunked-equivalence tests enforce. Commit-slot accounting
-// splits exactly: the base is taken between cycles, so measured
-// Stalls.Slots() == measured Cycles * IssueWidth still holds on
-// finite-width machines, and the measured profile still satisfies
-// Profile.Total() == Stats.Stalls.
+// Epoch boundary semantics. The epoch closes in two places:
+//
+//   - Dispatch side: at the dispatch of the last warmup instruction.
+//     Counters charged at dispatch (Instructions, ClassCounts, Loads,
+//     Stores) split exactly there. Counters charged in other stages
+//     (Branches and Mispredicts at fetch, SBox and cache counters and the
+//     profile's ExecCycles at issue) are copied at the same instant, so a
+//     few in-flight instructions' events can land on either side of the
+//     cut; the skew is bounded by the front-end depth plus the window
+//     size.
+//   - Commit side: at the end of the cycle in which the last warmup
+//     instruction commits. Cycles, the commit-slot breakdown (Stalls) and
+//     the profile's Retired and Slots split there. Until that commit the
+//     machine is still working off the warmup prefix's critical path; a
+//     machine with an unbounded front end and window (DF) dispatches the
+//     whole prefix in its first few cycles, so a dispatch-side cycle base
+//     would charge that path to the measured window. The base is taken
+//     between cycles, so measured Stalls.Slots() == measured Cycles *
+//     IssueWidth still holds on finite-width machines, and the measured
+//     profile still satisfies Profile.Total() == Stats.Stalls. A run that
+//     drains in the cycle of that commit (the final cycle is not
+//     accounted) closes the commit side at the end of the run.
+
+// noSeq disarms the commit-side close: no instruction sequence number
+// exceeds it, so run's per-cycle check never fires.
+const noSeq = ^uint64(0)
 
 // SetWarmup arms the warmup epoch: the first n dispatched instructions
 // are simulated normally but excluded from the returned Stats (and from
@@ -43,26 +55,40 @@ func (e *Engine) WarmupDiscarded() (insts, cycles uint64) {
 	return e.warmupBase.Instructions, e.warmupBase.Cycles
 }
 
-// beginMeasure closes the warmup epoch: every counter's current value
-// becomes the base subtracted from the final stats. Called from dispatch
-// (wireDependencies) when the last warmup instruction has been charged;
-// account() has not yet run for the current cycle, so the base sits
-// exactly on a cycle boundary for slot accounting.
-func (e *Engine) beginMeasure() {
+// beginMeasure closes the dispatch side of the warmup epoch: every
+// counter's current value becomes the base subtracted from the final
+// stats. Called from dispatch (wireDependencies) when the last warmup
+// instruction, seq, has been charged. It arms the commit-side close,
+// which later overwrites the cycle and commit-slot bases.
+func (e *Engine) beginMeasure(seq uint64) {
 	e.warmupBase = e.stats
-	e.warmupBase.Cycles = e.cycle
 	// run() copies the memory-system totals into stats only at the end;
-	// snapshot them live here.
+	// copy them live here.
 	e.warmupBase.DL1Misses = e.mem.DL1Miss
 	e.warmupBase.L2Misses = e.mem.L2Miss
 	e.warmupBase.TLBMisses = e.mem.TLBMiss
 	e.warmupBaseSet = true
+	e.warmupSeq = seq
 	if e.profPCs != nil {
 		if cap(e.warmupProfBase) < len(e.profPCs) {
 			e.warmupProfBase = make([]PCProfile, len(e.profPCs))
 		}
 		e.warmupProfBase = e.warmupProfBase[:len(e.profPCs)]
 		copy(e.warmupProfBase, e.profPCs)
+	}
+}
+
+// closeCommitSide takes the cycle and commit-slot bases. run calls it at
+// the end of the cycle in which the last warmup instruction committed,
+// after account() has charged that cycle.
+func (e *Engine) closeCommitSide() {
+	e.warmupSeq = noSeq
+	e.warmupBase.Cycles = e.cycle
+	e.warmupBase.Stalls = e.stats.Stalls
+	for i := range e.profPCs {
+		b := &e.warmupProfBase[i]
+		b.Retired = e.profPCs[i].Retired
+		b.Slots = e.profPCs[i].Slots
 	}
 }
 
@@ -73,6 +99,9 @@ func (e *Engine) beginMeasure() {
 func (e *Engine) applyWarmup() {
 	if !e.warmupBaseSet {
 		return
+	}
+	if e.warmupSeq != noSeq {
+		e.closeCommitSide()
 	}
 	e.stats = e.stats.Delta(&e.warmupBase)
 	if e.profPCs != nil {

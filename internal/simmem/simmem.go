@@ -31,16 +31,6 @@ func New(size int) *Mem {
 // Size returns the arena size in bytes.
 func (m *Mem) Size() int { return len(m.data) }
 
-// Clone returns an independent deep copy of the arena. Mid-trace
-// architectural snapshots (emu.Snapshot) retain one so a resumed machine
-// sees memory exactly as it was at the snapshot point, regardless of what
-// the original machine does afterwards.
-func (m *Mem) Clone() *Mem {
-	data := make([]byte, len(m.data))
-	copy(data, m.data)
-	return &Mem{data: data}
-}
-
 func (m *Mem) slice(addr uint64, n int) []byte {
 	if addr < Base || addr+uint64(n) > Base+uint64(len(m.data)) {
 		panic(fmt.Sprintf("simmem: access [%#x,%#x) outside arena [%#x,%#x)",
