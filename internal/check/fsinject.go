@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"os"
 	"sync"
 	"syscall"
@@ -42,7 +43,7 @@ type FSOps interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadDir(name string) ([]os.DirEntry, error)
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm os.FileMode) error
+	WriteFile(name string, perm os.FileMode, parts ...[]byte) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Chtimes(name string, atime, mtime time.Time) error
@@ -125,11 +126,15 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	return f.fs.ReadFile(name)
 }
 
-func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+// WriteFile applies the write-side fault classes to the whole file, not
+// to each part.
+func (f *FaultFS) WriteFile(name string, perm os.FileMode, parts ...[]byte) error {
 	if hit, _ := f.fire(FaultFSTorn); hit {
-		// Persist only the first half and report success: the torn entry
-		// must be caught by the reader's header/checksum verification.
-		return f.fs.WriteFile(name, data[:len(data)/2], perm)
+		// Persist only the first half of the parts' concatenation and
+		// report success: the torn entry must be caught by the reader's
+		// header/checksum verification.
+		data := bytes.Join(parts, nil)
+		return f.fs.WriteFile(name, perm, data[:len(data)/2])
 	}
 	if hit, err := f.fire(FaultFSFull); hit {
 		return err
@@ -137,7 +142,7 @@ func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	if hit, err := f.fire(FaultFSWrite); hit {
 		return err
 	}
-	return f.fs.WriteFile(name, data, perm)
+	return f.fs.WriteFile(name, perm, parts...)
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {

@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"cryptoarch/internal/check"
@@ -200,5 +202,36 @@ func TestChecksumRecs(t *testing.T) {
 	}
 	if ChecksumRecs(damaged) != base {
 		t.Fatal("encoding did not round-trip after restoring every burst")
+	}
+}
+
+// TestRecBytesIsEncoding pins the two ways ChecksumRecs reaches the same
+// bytes: the in-place view RecBytes, which every little-endian host must
+// have, and the batch encoder other hosts use. Both must equal the records'
+// EncodeTraceRec encoding and sum to the same value, across the encoder's
+// batch seams.
+func TestRecBytesIsEncoding(t *testing.T) {
+	if _, ok := RecBytes(nil); !ok && binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		t.Fatal("little-endian host has no in-place record view")
+	}
+	in := check.NewInjector(5)
+	for _, n := range []int{0, 1, ChecksumBatchRecs - 1, ChecksumBatchRecs, 2*ChecksumBatchRecs + 3} {
+		recs := make([]TraceRec, n)
+		enc := make([]byte, n*TraceRecBytes)
+		for i := range recs {
+			recs[i] = TraceRec{Addr: in.Uint64(), Idx: uint32(in.Uint64()), Br: uint32(in.Uint64())}
+			EncodeTraceRec(enc[i*TraceRecBytes:], &recs[i])
+		}
+		if view, ok := RecBytes(recs); ok && !bytes.Equal(view, enc) {
+			t.Fatalf("n=%d: record view differs from the EncodeTraceRec encoding", n)
+		}
+		want := check.NewSum64()
+		want.Write(enc)
+		encoded := check.NewSum64()
+		writeEncoded(encoded, recs)
+		if got := ChecksumRecs(recs); got != want.Sum64() || encoded.Sum64() != want.Sum64() {
+			t.Fatalf("n=%d: ChecksumRecs %#x, encode path %#x, encoding's sum %#x",
+				n, got, encoded.Sum64(), want.Sum64())
+		}
 	}
 }

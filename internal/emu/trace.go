@@ -2,7 +2,9 @@ package emu
 
 import (
 	"encoding/binary"
+	"hash"
 	"sync"
+	"unsafe"
 
 	"cryptoarch/internal/check"
 	"cryptoarch/internal/isa"
@@ -41,6 +43,8 @@ const TraceRecBytes = 16
 // little-endian uint64, then Idx | Br<<32 as a little-endian uint64. It is
 // the persistent store's trace payload format and the byte sequence
 // ChecksumRecs sums, so one sum serves the trace on disk and in memory.
+// RecBytes yields the same bytes without encoding where the host layout
+// allows.
 func EncodeTraceRec(b []byte, r *TraceRec) {
 	binary.LittleEndian.PutUint64(b[:8], r.Addr)
 	binary.LittleEndian.PutUint64(b[8:TraceRecBytes], uint64(r.Idx)|uint64(r.Br)<<32)
@@ -50,6 +54,31 @@ func EncodeTraceRec(b []byte, r *TraceRec) {
 func DecodeTraceRec(b []byte) TraceRec {
 	w := binary.LittleEndian.Uint64(b[8:TraceRecBytes])
 	return TraceRec{Addr: binary.LittleEndian.Uint64(b[:8]), Idx: uint32(w), Br: uint32(w >> 32)}
+}
+
+// hostLayout reports whether a TraceRec's bytes in memory are its
+// EncodeTraceRec encoding: 16 bytes with no padding, fields in encoding
+// order, little-endian. It holds on every little-endian target Go
+// supports and is checked once, at init, on a probe record.
+var hostLayout = func() bool {
+	if unsafe.Sizeof(TraceRec{}) != TraceRecBytes {
+		return false
+	}
+	probe := TraceRec{Addr: 0x0807060504030201, Idx: 0x0c0b0a09, Br: 0x100f0e0d}
+	var enc [TraceRecBytes]byte
+	EncodeTraceRec(enc[:], &probe)
+	return *(*[TraceRecBytes]byte)(unsafe.Pointer(&probe)) == enc
+}()
+
+// RecBytes returns the EncodeTraceRec encoding of recs as a view of their
+// own memory, with no copy, and true — on hosts whose layout is that
+// encoding. Elsewhere it returns nil and false, and callers encode record
+// by record. The view aliases recs: writing one writes the other.
+func RecBytes(recs []TraceRec) ([]byte, bool) {
+	if !hostLayout {
+		return nil, false
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(recs))), len(recs)*TraceRecBytes), true
 }
 
 // Trace is a recorded committed-path instruction stream: the program it
@@ -64,28 +93,42 @@ type Trace struct {
 // Bytes is the retained size of the packed records.
 func (t *Trace) Bytes() int { return TraceRecBytes * len(t.Recs) }
 
-// ChecksumBatchRecs is how many records ChecksumRecs encodes into its
+// ChecksumRecs returns check.NewSum64 of the records' EncodeTraceRec
+// encoding — the same value the persistent store verifies over a trace
+// payload. It hashes the records in place (RecBytes) in one Write; on a
+// host whose layout differs it encodes them in batches instead. The trace
+// cache computes it once at record time, hands that sum to the store with
+// the payload, and checks the retained records against it: on every serial
+// stream request, and on the first and every 64th traceFor request of the
+// sampled path. A bit flipped in a retained trace (memory corruption, a
+// stray write through a stale slice) is thus caught before it silently
+// skews a timing run.
+func ChecksumRecs(recs []TraceRec) uint64 {
+	h := check.NewSum64()
+	if b, ok := RecBytes(recs); ok {
+		h.Write(b)
+	} else {
+		writeEncoded(h, recs)
+	}
+	return h.Sum64()
+}
+
+// ChecksumBatchRecs is how many records writeEncoded encodes into its
 // buffer per sum update: 4 KB, long enough for the CRC instructions to run
 // at full width.
 const ChecksumBatchRecs = 256
 
-// sumBufs recycles ChecksumRecs's encode buffer. hash/crc32 dispatches
+// sumBufs recycles writeEncoded's encode buffer. hash/crc32 dispatches
 // through function values, so escape analysis cannot keep a local array on
 // the stack, and a fresh one would cost an allocation per replay request.
 var sumBufs = sync.Pool{New: func() any { return new([ChecksumBatchRecs * TraceRecBytes]byte) }}
 
-// ChecksumRecs returns check.NewSum64 of the records' EncodeTraceRec
-// encoding — the same value the persistent store computes over a trace
-// payload. The trace cache stores it at record time (or takes it from the
-// store's verified header at fault-in) and checks the retained records
-// against it: on every serial stream request, and on the first and every
-// 64th traceFor request of the sampled path. A bit flipped in a retained
-// trace (memory corruption, a stray write through a stale slice) is thus
-// caught before it silently skews a timing run.
-func ChecksumRecs(recs []TraceRec) uint64 {
+// writeEncoded writes the records' EncodeTraceRec encoding to h,
+// ChecksumBatchRecs records at a time: ChecksumRecs's path on hosts where
+// RecBytes has no view.
+func writeEncoded(h hash.Hash, recs []TraceRec) {
 	buf := sumBufs.Get().(*[ChecksumBatchRecs * TraceRecBytes]byte)
 	defer sumBufs.Put(buf)
-	h := check.NewSum64()
 	for len(recs) > 0 {
 		n := min(len(recs), ChecksumBatchRecs)
 		b := buf[:n*TraceRecBytes]
@@ -95,7 +138,6 @@ func ChecksumRecs(recs []TraceRec) uint64 {
 		h.Write(b)
 		recs = recs[n:]
 	}
-	return h.Sum64()
 }
 
 // Checksum is ChecksumRecs over the trace's records.

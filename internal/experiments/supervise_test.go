@@ -70,13 +70,20 @@ func TestSweepPanicIsolation(t *testing.T) {
 }
 
 func TestSweepCellTimeout(t *testing.T) {
+	hungReturned := make(chan struct{})
 	withOverride(t, func(c Cell, r *cellResult) bool {
 		if c.Cipher == "phantom-1" {
+			defer close(hungReturned)
 			time.Sleep(300 * time.Millisecond)
 		}
 		r.n = 7
 		return true
 	})
+	// The sweep abandons the hung cell, whose goroutine runs on after the
+	// test body and read execOverride on its way in. Cleanups run last
+	// registered first, so this wait holds withOverride's restore until
+	// that cell has returned.
+	t.Cleanup(func() { <-hungReturned })
 	defer SetCellDeadline(SetCellDeadline(25 * time.Millisecond))
 	out := SweepObservedCtx(context.Background(), []Cell{phantomCell(1), phantomCell(2)}, nil)
 	if timedOut, done := out.Count(CellTimedOut), out.Count(CellDone); timedOut != 1 || done != 1 {

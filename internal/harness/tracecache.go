@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -326,9 +327,9 @@ func (e *traceEntry) record(k traceKey) {
 		traces.mu.Unlock()
 		return
 	}
-	// Retain an exact-size copy; the oversized pooled buffer goes back.
-	recs := make([]emu.TraceRec, len(tr.Recs))
-	copy(recs, tr.Recs)
+	// Retain an exact-size copy (slices.Clone does not zero-fill it
+	// first); the oversized pooled buffer goes back.
+	recs := slices.Clone(tr.Recs)
 	putRecBuf(tr.Recs)
 	tr = &emu.Trace{Prog: tr.Prog, Recs: recs}
 	tcCtr().records.Inc()
@@ -337,7 +338,7 @@ func (e *traceEntry) record(k traceKey) {
 	traces.bytes += tr.Bytes()
 	traces.evictLocked()
 	traces.mu.Unlock()
-	saveTraceToStore(k, tr)
+	saveTraceToStore(k, tr, e.sum)
 }
 
 // evictLocked enforces the byte budget, dropping least-recently-used

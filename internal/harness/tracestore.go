@@ -126,13 +126,18 @@ func storeKeyFor(k traceKey) (string, error) {
 	}.Key(), nil
 }
 
-// encodeRecs packs trace records into the on-disk payload, one
-// emu.EncodeTraceRec encoding per record — the exact byte sequence
+// encodeRecs returns the on-disk payload of trace records: one
+// emu.EncodeTraceRec encoding per record, the exact byte sequence
 // emu.ChecksumRecs sums, so the store's payload checksum IS the trace
 // checksum (pinned by TestStorePayloadChecksumIsTraceChecksum). One
 // check.NewSum64 value (CRC-32C and CRC-32) therefore serves file
-// integrity on disk and replay integrity in memory.
+// integrity on disk and replay integrity in memory. Where the host layout
+// is that encoding (emu.RecBytes) the payload is the records' own memory,
+// not a copy, so it must not be written.
 func encodeRecs(recs []emu.TraceRec) []byte {
+	if b, ok := emu.RecBytes(recs); ok {
+		return b
+	}
 	b := make([]byte, len(recs)*emu.TraceRecBytes)
 	for i := range recs {
 		emu.EncodeTraceRec(b[i*emu.TraceRecBytes:], &recs[i])
@@ -140,12 +145,17 @@ func encodeRecs(recs []emu.TraceRec) []byte {
 	return b
 }
 
-// decodeRecs unpacks an on-disk payload; false on a torn length.
+// decodeRecs unpacks an on-disk payload into fresh records — one copy
+// where the host layout is the encoding; false on a torn length.
 func decodeRecs(b []byte) ([]emu.TraceRec, bool) {
 	if len(b)%emu.TraceRecBytes != 0 {
 		return nil, false
 	}
 	recs := make([]emu.TraceRec, len(b)/emu.TraceRecBytes)
+	if view, ok := emu.RecBytes(recs); ok {
+		copy(view, b)
+		return recs, true
+	}
 	for i := range recs {
 		recs[i] = emu.DecodeTraceRec(b[i*emu.TraceRecBytes:])
 	}
@@ -188,10 +198,13 @@ func loadTraceFromStore(k traceKey) (*emu.Trace, uint64, int, bool) {
 }
 
 // saveTraceToStore persists a freshly recorded complete trace
-// (write-through). Oversized sessions never reach here — they are not
-// retained in memory either. Errors are deliberately dropped: persistence
-// is an accelerator, and a full disk must not fail a simulation run.
-func saveTraceToStore(k traceKey, tr *emu.Trace) {
+// (write-through) under sum, its emu.ChecksumRecs from record time: the
+// payload is the records' encoding, so that sum is the payload's store
+// checksum and the store need not hash it again. Oversized sessions never
+// reach here — they are not retained in memory either. Errors are
+// deliberately dropped: persistence is an accelerator, and a full disk
+// must not fail a simulation run.
+func saveTraceToStore(k traceKey, tr *emu.Trace, sum uint64) {
 	s := CurrentStore()
 	if s == nil {
 		return
@@ -200,7 +213,7 @@ func saveTraceToStore(k traceKey, tr *emu.Trace) {
 	if err != nil {
 		return
 	}
-	s.Put(store.TierTrace, key, encodeRecs(tr.Recs))
+	s.Put(store.TierTrace, key, encodeRecs(tr.Recs), sum)
 }
 
 // SetTraceBudget sets the trace-cache LRU byte budget (exposed as

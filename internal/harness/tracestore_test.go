@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"testing"
 
@@ -29,13 +31,17 @@ func installTempStore(t *testing.T) *store.Store {
 	return s
 }
 
-// TestStorePayloadChecksumIsTraceChecksum pins the contract encodeRecs
-// promises: check.NewSum64 of the on-disk payload bytes IS the trace
-// checksum emu.ChecksumRecs computes over the records, so one sum serves
-// both file integrity and replay integrity. ChecksumRecs encodes in
-// batches of emu.ChecksumBatchRecs, so the record counts straddle that
-// boundary as well as the empty and one-record traces.
+// TestStorePayloadChecksumIsTraceChecksum pins one trace payload format
+// reached by two code paths. The expected payload is built record by
+// record with emu.EncodeTraceRec, the format's definition; encodeRecs (an
+// in-place view where the host layout allows) must return exactly those
+// bytes, emu.ChecksumRecs must equal their check.NewSum64, and decodeRecs
+// must invert them. The entry file saveTraceToStore writes must be exactly
+// magic | length | ChecksumRecs | encoding: the schema-2 layout, byte for
+// byte. Record counts straddle emu.ChecksumBatchRecs, the encode path's
+// batch, as well as the empty and one-record traces.
 func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
+	s := installTempStore(t)
 	edge := []emu.TraceRec{
 		{Addr: 0xdeadbeefcafef00d, Idx: 42, Br: 1},
 		{Addr: 0x0123456789abcdef, Idx: 7, Br: 0},
@@ -45,19 +51,22 @@ func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 	b := emu.ChecksumBatchRecs
 	for _, n := range []int{0, 1, len(edge), b - 1, b, b + 1, 2*b + 1} {
 		recs := make([]emu.TraceRec, n)
+		want := make([]byte, n*emu.TraceRecBytes)
 		for i := range recs {
 			recs[i] = edge[i%len(edge)]
 			recs[i].Addr ^= uint64(i) * 0x9e3779b97f4a7c15
 			recs[i].Idx += uint32(i)
+			emu.EncodeTraceRec(want[i*emu.TraceRecBytes:], &recs[i])
 		}
 		payload := encodeRecs(recs)
-		if len(payload) != n*emu.TraceRecBytes {
-			t.Fatalf("n=%d: payload is %d bytes, want %d", n, len(payload), n*emu.TraceRecBytes)
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("n=%d: encodeRecs differs from the EncodeTraceRec encoding", n)
 		}
 		h := check.NewSum64()
-		h.Write(payload)
-		if got, want := emu.ChecksumRecs(recs), h.Sum64(); got != want {
-			t.Fatalf("n=%d: trace checksum %#x != payload checksum %#x", n, got, want)
+		h.Write(want)
+		sum := h.Sum64()
+		if got := emu.ChecksumRecs(recs); got != sum {
+			t.Fatalf("n=%d: trace checksum %#x != payload checksum %#x", n, got, sum)
 		}
 		back, ok := decodeRecs(payload)
 		if !ok || len(back) != n {
@@ -72,6 +81,23 @@ func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 			if _, ok := decodeRecs(payload[:len(payload)-1]); ok {
 				t.Fatalf("n=%d: decodeRecs accepted a torn payload", n)
 			}
+		}
+
+		k := traceKey{cipher: "blowfish", feat: isa.FeatRot, session: n, seed: 1, mode: modeEncrypt}
+		saveTraceToStore(k, &emu.Trace{Recs: recs}, emu.ChecksumRecs(recs))
+		key, err := storeKeyFor(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(s.EntryPath(store.TierTrace, key))
+		if err != nil {
+			t.Fatalf("n=%d: trace entry was not written: %v", n, err)
+		}
+		entry := binary.LittleEndian.AppendUint64([]byte("simstor2"), uint64(len(want)))
+		entry = binary.LittleEndian.AppendUint64(entry, sum)
+		entry = append(entry, want...)
+		if !bytes.Equal(raw, entry) {
+			t.Fatalf("n=%d: trace entry file is not magic | length | sum | encoding (%d bytes, want %d)", n, len(raw), len(entry))
 		}
 	}
 }

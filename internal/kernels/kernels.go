@@ -133,15 +133,18 @@ func Names() []string {
 	return out
 }
 
+// runArena returns a memory arena sized to the kernel layout for a
+// session of n bytes: everything below the output buffer, the output, and
+// a 4 KB tail. No kernel touches memory past that, so a larger arena would
+// only be zero-filled for nothing, and an access past it fails the run.
+func runArena(n int) *simmem.Mem {
+	return simmem.New(int(OutAddr-simmem.Base) + n + 4096)
+}
+
 // NewRun prepares a machine for an encryption run: context initialized
 // from the golden model, plaintext in place, arguments loaded.
 func NewRun(k *Kernel, feat isa.Feature, key, iv, plaintext []byte) (*emu.Machine, *simmem.Mem, error) {
-	need := int(OutAddr-simmem.Base) + len(plaintext) + 4096
-	size := simmem.DefaultSize
-	if need > size {
-		size = need
-	}
-	mem := simmem.New(size)
+	mem := runArena(len(plaintext))
 	if err := k.InitCtx(mem, CtxAddr, key, iv); err != nil {
 		return nil, nil, err
 	}
@@ -161,12 +164,7 @@ func NewDecRun(k *Kernel, feat isa.Feature, key, iv, ciphertext []byte) (*emu.Ma
 	if k.BuildDec == nil {
 		return nil, nil, fmt.Errorf("kernels: %s has no decryption kernel", k.Name)
 	}
-	need := int(OutAddr-simmem.Base) + len(ciphertext) + 4096
-	size := simmem.DefaultSize
-	if need > size {
-		size = need
-	}
-	mem := simmem.New(size)
+	mem := runArena(len(ciphertext))
 	initCtx := k.InitDecCtx
 	if initCtx == nil {
 		initCtx = k.InitCtx

@@ -64,6 +64,10 @@ func validateKernel(t *testing.T, name string, feat isa.Feature, sessionBytes in
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The arena ends where the layout does; the run below must fit in it.
+	if want := int(OutAddr-simmem.Base) + sessionBytes + 4096; mem.Size() != want {
+		t.Fatalf("%s/%s: arena is %d bytes, want the layout's %d", name, feat, mem.Size(), want)
+	}
 	n := m.Run(nil)
 	if n == 0 {
 		t.Fatal("kernel executed no instructions")

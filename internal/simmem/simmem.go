@@ -11,8 +11,10 @@ import (
 // that null dereferences in kernels fault loudly.
 const Base = 0x10000
 
-// DefaultSize is the default arena size (enough for the largest session,
-// all cipher contexts, and program rodata).
+// DefaultSize is the arena size New gives for a non-positive size. In the
+// simulator only key-setup and public-key machines use it: kernel
+// encryption and decryption runs size their arena to the kernel layout
+// and session (kernels.NewRun, NewDecRun).
 const DefaultSize = 8 << 20
 
 // Mem is a flat simulated memory [Base, Base+len).

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -38,7 +41,7 @@ func openChaos(t *testing.T) (*Store, *check.FaultFS, *check.Injector) {
 func TestChaosReadTransientRetries(t *testing.T) {
 	s, ffs, in := openChaos(t)
 	payload := []byte("retry me")
-	if err := s.Put(TierResult, "k1", payload); err != nil {
+	if err := put(s, TierResult, "k1", payload); err != nil {
 		t.Fatal(err)
 	}
 	// Two transient read failures, then the disk recovers: the retry loop
@@ -62,7 +65,7 @@ func TestChaosReadTransientRetries(t *testing.T) {
 
 func TestChaosReadPersistentDegrades(t *testing.T) {
 	s, ffs, _ := openChaos(t)
-	if err := s.Put(TierResult, "k1", []byte("soon unreachable")); err != nil {
+	if err := put(s, TierResult, "k1", []byte("soon unreachable")); err != nil {
 		t.Fatal(err)
 	}
 	// The disk never recovers: retries exhaust, the store degrades, and
@@ -85,7 +88,7 @@ func TestChaosReadPersistentDegrades(t *testing.T) {
 	if _, _, ok := s.Get(TierResult, "k1"); ok {
 		t.Fatal("degraded Get hit")
 	}
-	if err := s.Put(TierResult, "k2", []byte("dropped")); err != nil {
+	if err := put(s, TierResult, "k2", []byte("dropped")); err != nil {
 		t.Fatalf("degraded Put errored: %v", err)
 	}
 }
@@ -93,7 +96,7 @@ func TestChaosReadPersistentDegrades(t *testing.T) {
 func TestChaosWriteErrorRetriesThenDegrades(t *testing.T) {
 	s, ffs, _ := openChaos(t)
 	ffs.Plan(check.FaultFSWrite, 0, -1, syscall.EIO)
-	err := s.Put(TierResult, "k1", []byte("never lands"))
+	err := put(s, TierResult, "k1", []byte("never lands"))
 	if err == nil {
 		t.Fatal("Put through a failing disk reported success")
 	}
@@ -107,6 +110,25 @@ func TestChaosWriteErrorRetriesThenDegrades(t *testing.T) {
 	if st.Writes != 0 {
 		t.Fatalf("writes = %d, want 0", st.Writes)
 	}
+}
+
+// chaosTiers lists both tiers: every write-side fault must hit a trace
+// entry the same way it hits a result entry.
+var chaosTiers = []Tier{TierResult, TierTrace}
+
+// chaosPayload returns a payload shaped like the tier's entries: a short
+// result, or 64 packed 16-byte trace records. The trace payload is long
+// enough that tearing the entry in half cuts inside the payload part, past
+// the header part.
+func chaosPayload(tier Tier) []byte {
+	if tier == TierResult {
+		return []byte("this payload will be torn in half by the injector")
+	}
+	b := make([]byte, 64*16)
+	for i := range b {
+		b[i] = byte(i * 7)
+	}
+	return b
 }
 
 // TestChaosWriteFailureLeavesNoTempResidue is the temp-file-leak gate: a
@@ -123,75 +145,96 @@ func TestChaosWriteFailureLeavesNoTempResidue(t *testing.T) {
 			t.Fatalf("temp residue after failed Put: %v", matches)
 		}
 	}
-	t.Run("rename", func(t *testing.T) {
-		s, ffs, _ := openChaos(t)
-		ffs.Plan(check.FaultFSRename, 0, -1, syscall.EIO)
-		if err := s.Put(TierResult, "k1", []byte("payload")); err == nil {
-			t.Fatal("Put with failing rename reported success")
-		}
-		assertNoTemps(t, s)
-	})
-	t.Run("write", func(t *testing.T) {
-		s, ffs, _ := openChaos(t)
-		ffs.Plan(check.FaultFSWrite, 0, -1, syscall.EIO)
-		if err := s.Put(TierResult, "k1", []byte("payload")); err == nil {
-			t.Fatal("Put with failing write reported success")
-		}
-		assertNoTemps(t, s)
-	})
+	for _, c := range []struct {
+		name  string
+		class check.FaultClass
+	}{{"rename", check.FaultFSRename}, {"write", check.FaultFSWrite}} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, tier := range chaosTiers {
+				t.Run(tier.String(), func(t *testing.T) {
+					s, ffs, _ := openChaos(t)
+					ffs.Plan(c.class, 0, -1, syscall.EIO)
+					if err := put(s, tier, "k1", chaosPayload(tier)); err == nil {
+						t.Fatalf("Put with failing %s reported success", c.name)
+					}
+					assertNoTemps(t, s)
+				})
+			}
+		})
+	}
 }
 
 func TestChaosTornWriteHealsOnLoad(t *testing.T) {
-	s, ffs, in := openChaos(t)
-	payload := []byte("this payload will be torn in half by the injector")
-	ffs.Plan(check.FaultFSTorn, 0, 1, nil)
-	if err := s.Put(TierResult, "k1", payload); err != nil {
-		t.Fatalf("torn write must report success (that is the fault): %v", err)
-	}
-	// The torn entry is on disk under a live key; the next load must catch
-	// it via the header/length check, delete it and report a miss.
-	if _, _, ok := s.Get(TierResult, "k1"); ok {
-		t.Fatal("Get returned a torn entry")
-	}
-	st := ReadStats()
-	if st.Corrupt != 1 {
-		t.Fatalf("corrupt = %d, want 1", st.Corrupt)
-	}
-	if st.Degraded != 0 {
-		t.Fatalf("torn write degraded the store: %+v", st)
-	}
-	// Re-record once: a clean Put under the same key must land and hit.
-	if err := s.Put(TierResult, "k1", payload); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, ok := s.Get(TierResult, "k1"); !ok || string(got) != string(payload) {
-		t.Fatalf("healed entry: ok=%v got=%q", ok, got)
-	}
-	if got := in.Injected(); len(got) != 1 || got[0] != check.FaultFSTorn {
-		t.Fatalf("injected log = %v", got)
+	for _, tier := range chaosTiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			s, ffs, in := openChaos(t)
+			payload := chaosPayload(tier)
+			ffs.Plan(check.FaultFSTorn, 0, 1, nil)
+			if err := put(s, tier, "k1", payload); err != nil {
+				t.Fatalf("torn write must report success (that is the fault): %v", err)
+			}
+			// The header and payload are written as two parts, but the
+			// tear keeps the first half of the entry as a whole.
+			entry := append([]byte(entryMagic), make([]byte, 16)...)
+			binary.LittleEndian.PutUint64(entry[8:16], uint64(len(payload)))
+			binary.LittleEndian.PutUint64(entry[16:24], Checksum(payload))
+			entry = append(entry, payload...)
+			raw, err := os.ReadFile(s.EntryPath(tier, "k1"))
+			if err != nil || !bytes.Equal(raw, entry[:len(entry)/2]) {
+				t.Fatalf("torn entry is not the first half of header|payload (%d of %d bytes, err %v)", len(raw), len(entry), err)
+			}
+			// The torn entry is on disk under a live key; the next load
+			// must catch it via the header/length check, delete it and
+			// report a miss.
+			if _, _, ok := s.Get(tier, "k1"); ok {
+				t.Fatal("Get returned a torn entry")
+			}
+			st := ReadStats()
+			if st.Corrupt != 1 {
+				t.Fatalf("corrupt = %d, want 1", st.Corrupt)
+			}
+			if st.Degraded != 0 {
+				t.Fatalf("torn write degraded the store: %+v", st)
+			}
+			// Re-record once: a clean Put under the same key must land and
+			// hit.
+			if err := put(s, tier, "k1", payload); err != nil {
+				t.Fatal(err)
+			}
+			if got, _, ok := s.Get(tier, "k1"); !ok || string(got) != string(payload) {
+				t.Fatalf("healed entry: ok=%v got=%q", ok, got)
+			}
+			if got := in.Injected(); len(got) != 1 || got[0] != check.FaultFSTorn {
+				t.Fatalf("injected log = %v", got)
+			}
+		})
 	}
 }
 
 func TestChaosENOSPCDegradesWithoutRetry(t *testing.T) {
-	s, ffs, _ := openChaos(t)
-	ffs.Plan(check.FaultFSFull, 0, -1, nil)
-	err := s.Put(TierResult, "k1", []byte("no space"))
-	if err == nil {
-		t.Fatal("Put on a full disk reported success")
-	}
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("err = %v, want ENOSPC in chain", err)
-	}
-	st := ReadStats()
-	if st.Retries != 0 {
-		t.Fatalf("retries = %d, want 0 — ENOSPC is deterministic, retrying is waste", st.Retries)
-	}
-	if st.Degraded != 1 {
-		t.Fatalf("degraded = %d, want 1", st.Degraded)
-	}
-	// The degraded store must keep absorbing traffic silently.
-	if err := s.Put(TierResult, "k2", []byte("dropped")); err != nil {
-		t.Fatalf("degraded Put errored: %v", err)
+	for _, tier := range chaosTiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			s, ffs, _ := openChaos(t)
+			ffs.Plan(check.FaultFSFull, 0, -1, nil)
+			err := put(s, tier, "k1", chaosPayload(tier))
+			if err == nil {
+				t.Fatal("Put on a full disk reported success")
+			}
+			if !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("err = %v, want ENOSPC in chain", err)
+			}
+			st := ReadStats()
+			if st.Retries != 0 {
+				t.Fatalf("retries = %d, want 0 — ENOSPC is deterministic, retrying is waste", st.Retries)
+			}
+			if st.Degraded != 1 {
+				t.Fatalf("degraded = %d, want 1", st.Degraded)
+			}
+			// The degraded store must keep absorbing traffic silently.
+			if err := put(s, tier, "k2", []byte("dropped")); err != nil {
+				t.Fatalf("degraded Put errored: %v", err)
+			}
+		})
 	}
 }
 
@@ -207,7 +250,7 @@ func TestChaosFaultClassCoverage(t *testing.T) {
 		t.Run(string(class), func(t *testing.T) {
 			s, ffs, in := openChaos(t)
 			if class == check.FaultFSRead {
-				if err := s.Put(TierResult, "k1", []byte("x")); err != nil {
+				if err := put(s, TierResult, "k1", []byte("x")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -216,7 +259,7 @@ func TestChaosFaultClassCoverage(t *testing.T) {
 			case check.FaultFSRead:
 				s.Get(TierResult, "k1")
 			default:
-				s.Put(TierResult, "k1", []byte("probe payload"))
+				put(s, TierResult, "k1", []byte("probe payload"))
 			}
 			fired := false
 			for _, got := range in.Injected() {

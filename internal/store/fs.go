@@ -16,10 +16,11 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadDir(name string) ([]os.DirEntry, error)
 	ReadFile(name string) ([]byte, error)
-	// WriteFile creates (or truncates) name with the given bytes. The
-	// store only ever targets fresh temp names, so an implementation may
-	// assume the file is new.
-	WriteFile(name string, data []byte, perm os.FileMode) error
+	// WriteFile creates (or truncates) name and writes the parts to it
+	// back to back, so an entry's header and payload land without being
+	// joined in memory first. The store only ever targets fresh temp
+	// names, so an implementation may assume the file is new.
+	WriteFile(name string, perm os.FileMode, parts ...[]byte) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Chtimes(name string, atime, mtime time.Time) error
@@ -31,9 +32,25 @@ type osFS struct{}
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
-func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
+
+// WriteFile is os.WriteFile over several parts: one Write per part, and
+// the first error of the writes and the Close.
+func (osFS) WriteFile(name string, perm os.FileMode, parts ...[]byte) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
+
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) Chtimes(name string, atime, mtime time.Time) error {

@@ -85,12 +85,13 @@ const (
 	headerBytes = 24 // magic(8) | payload len LE64 | check.NewSum64 sum LE64
 )
 
-// checksum is the payload integrity sum, check.NewSum64 (CRC-32C in the
-// high half, CRC-32 in the low). For trace-tier entries the payload
-// encoding is chosen so this equals emu.ChecksumRecs of the decoded
-// records (pinned by a harness test), so one sum serves both file
-// integrity and in-memory trace integrity.
-func checksum(payload []byte) uint64 {
+// Checksum is the payload integrity sum, check.NewSum64 (CRC-32C in the
+// high half, CRC-32 in the low). Put takes it from the caller: the result
+// tier computes it here, and the trace tier passes emu.ChecksumRecs from
+// record time, which equals Checksum of the payload because the payload
+// is the records' encoding (pinned by a harness test). Get verifies it on
+// every load.
+func Checksum(payload []byte) uint64 {
 	h := check.NewSum64()
 	h.Write(payload)
 	return h.Sum64()
@@ -331,7 +332,7 @@ func (s *Store) Get(t Tier, key string) (payload []byte, sum uint64, ok bool) {
 	}
 	payload = data[headerBytes:]
 	sum = binary.LittleEndian.Uint64(data[16:24])
-	if checksum(payload) != sum {
+	if Checksum(payload) != sum {
 		s.dropCorrupt(t, key, path)
 		return nil, 0, false
 	}
@@ -398,15 +399,19 @@ func (s *Store) dropCorrupt(t Tier, key, path string) {
 	s.mu.Unlock()
 }
 
-// Put writes an entry atomically: header + payload into a temp file in the
-// store root, fsync'd order not required (a torn write fails the checksum
-// and self-heals as a corrupt miss), then renamed into place. Payloads
-// that alone exceed the byte budget are silently not stored. Overwriting
-// an existing key is allowed and idempotent — content addressing means the
-// bytes are identical anyway. Transient write/rename failures are retried
-// with backoff; a persistent one degrades the store (future Puts become
-// free no-ops) and returns the error for counting.
-func (s *Store) Put(t Tier, key string, payload []byte) error {
+// Put writes an entry atomically: the header and the payload go into a
+// temp file in the store root as two parts, never joined in memory, and
+// the file is then renamed into place. sum is the payload's Checksum; the
+// caller supplies it (the trace tier holds it from record time), and a
+// wrong one costs only a corrupt miss on the next load. fsync'd order is
+// not required: a torn write fails the checksum and self-heals as a
+// corrupt miss. Payloads that alone exceed the byte budget are silently
+// not stored. Overwriting an existing key is allowed and idempotent —
+// content addressing means the bytes are identical anyway. Transient
+// write/rename failures are retried with backoff; a persistent one
+// degrades the store (future Puts become free no-ops) and returns the
+// error for counting.
+func (s *Store) Put(t Tier, key string, payload []byte, sum uint64) error {
 	if s == nil || s.degraded.Load() {
 		return nil
 	}
@@ -415,12 +420,11 @@ func (s *Store) Put(t Tier, key string, payload []byte) error {
 	}
 	c := ctr()
 	start := time.Now()
-	buf := make([]byte, headerBytes+len(payload))
-	copy(buf, entryMagic)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(buf[16:24], checksum(payload))
-	copy(buf[headerBytes:], payload)
-	if err := s.writeFileAtomic(s.EntryPath(t, key), buf); err != nil {
+	var hdr [headerBytes]byte
+	copy(hdr[:], entryMagic)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[16:24], sum)
+	if err := s.writeFileAtomic(s.EntryPath(t, key), hdr[:], payload); err != nil {
 		s.degrade(err)
 		return fmt.Errorf("store: %w", err)
 	}
@@ -447,14 +451,15 @@ func (s *Store) tempName() string {
 	return filepath.Join(s.root, fmt.Sprintf("put-%d-%d", os.Getpid(), s.tmpSeq.Add(1)))
 }
 
-// writeFileAtomic writes bytes via temp + rename, retrying transient
-// failures with backoff. Every failed attempt removes its temp file
-// immediately — a mid-run write or rename error must not leave residue
-// for the next Open to sweep (TestWriteFailureLeavesNoTempResidue).
-func (s *Store) writeFileAtomic(path string, b []byte) error {
+// writeFileAtomic writes the parts, back to back, via temp + rename,
+// retrying transient failures with backoff. Every failed attempt removes
+// its temp file immediately — a mid-run write or rename error must not
+// leave residue for the next Open to sweep
+// (TestChaosWriteFailureLeavesNoTempResidue).
+func (s *Store) writeFileAtomic(path string, parts ...[]byte) error {
 	return s.retry.do(func() error {
 		tmp := s.tempName()
-		if err := s.fs.WriteFile(tmp, b, 0o644); err != nil {
+		if err := s.fs.WriteFile(tmp, 0o644, parts...); err != nil {
 			s.fs.Remove(tmp)
 			return err
 		}
