@@ -4,13 +4,14 @@ import "math/rand"
 
 // FaultClass names one corruption mechanism the injector can apply. Each
 // class maps to the checker (or checksum) that must detect it; the
-// detection-coverage tests in internal/ooo and internal/harness walk this
-// mapping so no class is silently undetectable.
+// detection-coverage tests in internal/ooo, internal/emu and internal/store
+// walk this mapping so no class is silently undetectable.
 type FaultClass string
 
 const (
 	// FaultTraceBit flips one bit of a packed trace record — detected by
-	// the trace checksum (emu.ChecksumRecs / harness trace cache).
+	// the store's payload sum (NewSum64) when the trace is loaded from
+	// disk, or by emu's Trace.Validate when the damage breaks its structure.
 	FaultTraceBit FaultClass = "trace-bit"
 	// FaultSboxCache perturbs SBox-cache state (valid bits without a tag,
 	// misaligned tag) — detected by the "sbox-cache" checker.
@@ -18,10 +19,6 @@ const (
 	// FaultROBEntry corrupts an in-flight reorder-buffer entry — detected
 	// by the "rob-entry" / "scoreboard" checkers.
 	FaultROBEntry FaultClass = "rob-entry"
-	// FaultCachedTrace corrupts a retained trace-cache entry in place —
-	// detected by the checksum-on-replay path, which evicts and
-	// re-records (TraceCacheStats.ChecksumEvictions).
-	FaultCachedTrace FaultClass = "cached-trace"
 )
 
 // Injector is a deterministic, seed-driven fault injector. It does not

@@ -12,8 +12,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // NewSum64 returns the repo's bulk-integrity sum: CRC-32C (Castagnoli) in
 // the high 32 bits and CRC-32 (IEEE) in the low 32, both over the same
-// bytes. It guards the persistent store's entries on disk and the trace
-// cache's records in memory (emu.ChecksumRecs), so one value serves both.
+// bytes. It guards the persistent store's entries on disk: the store sums
+// each payload as it writes it and verifies the sum on every load.
+// Traces retained in memory are not re-hashed; they are immutable between
+// those two points.
 //
 // Each half catches every burst error up to 32 bits long, which covers
 // every change confined to one byte; random damage must fool both

@@ -118,19 +118,32 @@ func FuzzPackRoundTrip(f *testing.F) {
 	})
 }
 
-// TestChecksumRecs pins the checksum's sensitivity: any single-bit flip
-// in any record field, and any burst of 1-32 bits anywhere in the encoded
-// trace, changes the sum, and equal traces agree.
-func TestChecksumRecs(t *testing.T) {
+// sumRecs is check.NewSum64 over the records' EncodeTraceRec encoding:
+// the sum the store writes into a trace entry's header.
+func sumRecs(recs []TraceRec) uint64 {
+	enc := make([]byte, len(recs)*TraceRecBytes)
+	for i := range recs {
+		EncodeTraceRec(enc[i*TraceRecBytes:], &recs[i])
+	}
+	h := check.NewSum64()
+	h.Write(enc)
+	return h.Sum64()
+}
+
+// TestSum64DetectsRecordDamage pins what the store's payload sum sees of a
+// trace: any single-bit flip in any record field, and any burst of 1-32
+// bits anywhere in the encoded trace, changes check.NewSum64 of the
+// encoding, and equal traces agree.
+func TestSum64DetectsRecordDamage(t *testing.T) {
 	recs := []TraceRec{
 		{Addr: 0x20000, Idx: 1},
 		{Addr: 0, Idx: 3, Br: 7},
 		{Addr: 0x300010, Idx: 2},
 	}
-	sum := ChecksumRecs(recs)
+	sum := sumRecs(recs)
 	cp := append([]TraceRec(nil), recs...)
-	if ChecksumRecs(cp) != sum {
-		t.Fatal("checksum differs between equal traces")
+	if sumRecs(cp) != sum {
+		t.Fatal("sum differs between equal traces")
 	}
 	in := check.NewInjector(42)
 	for trial := 0; trial < 64; trial++ {
@@ -144,22 +157,18 @@ func TestChecksumRecs(t *testing.T) {
 		case 2:
 			cp[i].Br ^= 1 << uint(in.Intn(32))
 		}
-		if ChecksumRecs(cp) == sum {
-			t.Fatalf("trial %d: bit flip not reflected in checksum", trial)
+		if sumRecs(cp) == sum {
+			t.Fatalf("trial %d: bit flip not reflected in the sum", trial)
 		}
 		copy(cp, recs) // restore
 	}
-	if ChecksumRecs(nil) != ChecksumRecs([]TraceRec{}) {
-		t.Fatal("empty-trace checksums disagree")
-	}
 
 	// Bursts: flip a run of 1-32 bits (first and last set, the middle
-	// random) of the EncodeTraceRec encoding. Each CRC half detects every
-	// such burst, so none may go unseen. Bit k of the stream is bit k%8 of
-	// byte k/8, the order both reflected CRCs consume, and the trace spans
-	// three ChecksumBatchRecs batches; every third burst is placed across
-	// a record or batch seam.
-	long := make([]TraceRec, 2*ChecksumBatchRecs+3)
+	// random) of the encoding. Each CRC half detects every such burst, so
+	// none may go unseen. Bit k of the stream is bit k%8 of byte k/8, the
+	// order both reflected CRCs consume; every third burst is placed
+	// across a record seam.
+	long := make([]TraceRec, 515)
 	for i := range long {
 		long[i] = TraceRec{Addr: in.Uint64(), Idx: uint32(in.Intn(1 << 20)), Br: uint32(in.Uint64())}
 	}
@@ -167,7 +176,12 @@ func TestChecksumRecs(t *testing.T) {
 	for i := range long {
 		EncodeTraceRec(enc[i*TraceRecBytes:], &long[i])
 	}
-	base := ChecksumRecs(long)
+	sumEnc := func() uint64 {
+		h := check.NewSum64()
+		h.Write(enc)
+		return h.Sum64()
+	}
+	base := sumEnc()
 	flip := func(start int, pattern uint64, width int) {
 		for k := 0; k < width; k++ {
 			if pattern>>k&1 != 0 {
@@ -175,63 +189,46 @@ func TestChecksumRecs(t *testing.T) {
 			}
 		}
 	}
-	damaged := make([]TraceRec, len(long))
-	const recBits, batchBits = 8 * TraceRecBytes, 8 * TraceRecBytes * ChecksumBatchRecs
+	const recBits = 8 * TraceRecBytes
 	for trial := 0; trial < 3000; trial++ {
 		width := 1 + in.Intn(32)
 		pattern := uint64(1) | uint64(1)<<(width-1) | in.Uint64()&(1<<width-1)
 		start := in.Intn(len(enc)*8 - width + 1)
 		if trial%3 == 0 {
-			seam := recBits * (1 + in.Intn(len(long)-1))
-			if trial%6 == 0 {
-				seam = batchBits * (1 + in.Intn(2))
-			}
-			start = seam - 1 - in.Intn(width)
+			start = recBits*(1+in.Intn(len(long)-1)) - 1 - in.Intn(width)
 		}
 		flip(start, pattern, width)
-		for i := range damaged {
-			damaged[i] = DecodeTraceRec(enc[i*TraceRecBytes:])
-		}
-		if ChecksumRecs(damaged) == base {
-			t.Fatalf("trial %d: %d-bit burst %#x at bit %d not reflected in checksum", trial, width, pattern, start)
+		if sumEnc() == base {
+			t.Fatalf("trial %d: %d-bit burst %#x at bit %d not reflected in the sum", trial, width, pattern, start)
 		}
 		flip(start, pattern, width) // restore
 	}
-	for i := range damaged {
-		damaged[i] = DecodeTraceRec(enc[i*TraceRecBytes:])
-	}
-	if ChecksumRecs(damaged) != base {
+	if sumEnc() != base {
 		t.Fatal("encoding did not round-trip after restoring every burst")
 	}
 }
 
-// TestRecBytesIsEncoding pins the two ways ChecksumRecs reaches the same
-// bytes: the in-place view RecBytes, which every little-endian host must
-// have, and the batch encoder other hosts use. Both must equal the records'
-// EncodeTraceRec encoding and sum to the same value, across the encoder's
-// batch seams.
+// TestRecBytesIsEncoding pins the in-place view RecBytes, which every
+// little-endian host must have, to the records' EncodeTraceRec encoding:
+// the store writes the view as a trace payload. DecodeTraceRec, the load
+// path on other hosts, must invert the encoding.
 func TestRecBytesIsEncoding(t *testing.T) {
 	if _, ok := RecBytes(nil); !ok && binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
 		t.Fatal("little-endian host has no in-place record view")
 	}
 	in := check.NewInjector(5)
-	for _, n := range []int{0, 1, ChecksumBatchRecs - 1, ChecksumBatchRecs, 2*ChecksumBatchRecs + 3} {
+	for _, n := range []int{0, 1, 255, 256, 515} {
 		recs := make([]TraceRec, n)
 		enc := make([]byte, n*TraceRecBytes)
 		for i := range recs {
 			recs[i] = TraceRec{Addr: in.Uint64(), Idx: uint32(in.Uint64()), Br: uint32(in.Uint64())}
 			EncodeTraceRec(enc[i*TraceRecBytes:], &recs[i])
+			if got := DecodeTraceRec(enc[i*TraceRecBytes:]); got != recs[i] {
+				t.Fatalf("rec %+v decodes as %+v", recs[i], got)
+			}
 		}
 		if view, ok := RecBytes(recs); ok && !bytes.Equal(view, enc) {
 			t.Fatalf("n=%d: record view differs from the EncodeTraceRec encoding", n)
-		}
-		want := check.NewSum64()
-		want.Write(enc)
-		encoded := check.NewSum64()
-		writeEncoded(encoded, recs)
-		if got := ChecksumRecs(recs); got != want.Sum64() || encoded.Sum64() != want.Sum64() {
-			t.Fatalf("n=%d: ChecksumRecs %#x, encode path %#x, encoding's sum %#x",
-				n, got, encoded.Sum64(), want.Sum64())
 		}
 	}
 }

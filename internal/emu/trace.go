@@ -2,8 +2,6 @@ package emu
 
 import (
 	"encoding/binary"
-	"hash"
-	"sync"
 	"unsafe"
 
 	"cryptoarch/internal/check"
@@ -41,10 +39,8 @@ const TraceRecBytes = 16
 
 // EncodeTraceRec writes r's TraceRecBytes-byte encoding into b: Addr as a
 // little-endian uint64, then Idx | Br<<32 as a little-endian uint64. It is
-// the persistent store's trace payload format and the byte sequence
-// ChecksumRecs sums, so one sum serves the trace on disk and in memory.
-// RecBytes yields the same bytes without encoding where the host layout
-// allows.
+// the persistent store's trace payload format. RecBytes yields the same
+// bytes without encoding where the host layout allows.
 func EncodeTraceRec(b []byte, r *TraceRec) {
 	binary.LittleEndian.PutUint64(b[:8], r.Addr)
 	binary.LittleEndian.PutUint64(b[8:TraceRecBytes], uint64(r.Idx)|uint64(r.Br)<<32)
@@ -84,7 +80,8 @@ func RecBytes(recs []TraceRec) ([]byte, bool) {
 // Trace is a recorded committed-path instruction stream: the program it
 // was recorded from plus one packed record per retired instruction. A
 // Trace is immutable after Record returns and safe for any number of
-// concurrent ReplayStreams.
+// concurrent ReplayStreams. Nothing re-hashes it in memory: the harness
+// pins by test that replay never writes a retained trace.
 type Trace struct {
 	Prog *isa.Program
 	Recs []TraceRec
@@ -92,56 +89,6 @@ type Trace struct {
 
 // Bytes is the retained size of the packed records.
 func (t *Trace) Bytes() int { return TraceRecBytes * len(t.Recs) }
-
-// ChecksumRecs returns check.NewSum64 of the records' EncodeTraceRec
-// encoding — the same value the persistent store verifies over a trace
-// payload. It hashes the records in place (RecBytes) in one Write; on a
-// host whose layout differs it encodes them in batches instead. The trace
-// cache computes it once at record time, hands that sum to the store with
-// the payload, and checks the retained records against it: on every serial
-// stream request, and on the first and every 64th traceFor request of the
-// sampled path. A bit flipped in a retained trace (memory corruption, a
-// stray write through a stale slice) is thus caught before it silently
-// skews a timing run.
-func ChecksumRecs(recs []TraceRec) uint64 {
-	h := check.NewSum64()
-	if b, ok := RecBytes(recs); ok {
-		h.Write(b)
-	} else {
-		writeEncoded(h, recs)
-	}
-	return h.Sum64()
-}
-
-// ChecksumBatchRecs is how many records writeEncoded encodes into its
-// buffer per sum update: 4 KB, long enough for the CRC instructions to run
-// at full width.
-const ChecksumBatchRecs = 256
-
-// sumBufs recycles writeEncoded's encode buffer. hash/crc32 dispatches
-// through function values, so escape analysis cannot keep a local array on
-// the stack, and a fresh one would cost an allocation per replay request.
-var sumBufs = sync.Pool{New: func() any { return new([ChecksumBatchRecs * TraceRecBytes]byte) }}
-
-// writeEncoded writes the records' EncodeTraceRec encoding to h,
-// ChecksumBatchRecs records at a time: ChecksumRecs's path on hosts where
-// RecBytes has no view.
-func writeEncoded(h hash.Hash, recs []TraceRec) {
-	buf := sumBufs.Get().(*[ChecksumBatchRecs * TraceRecBytes]byte)
-	defer sumBufs.Put(buf)
-	for len(recs) > 0 {
-		n := min(len(recs), ChecksumBatchRecs)
-		b := buf[:n*TraceRecBytes]
-		for i := range recs[:n] {
-			EncodeTraceRec(b[i*TraceRecBytes:(i+1)*TraceRecBytes], &recs[i])
-		}
-		h.Write(b)
-		recs = recs[n:]
-	}
-}
-
-// Checksum is ChecksumRecs over the trace's records.
-func (t *Trace) Checksum() uint64 { return ChecksumRecs(t.Recs) }
 
 // Validate structurally checks the trace against its program: every
 // record must index a real instruction, branch outcomes may only appear

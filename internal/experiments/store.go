@@ -206,5 +206,5 @@ func saveCellToStore(c Cell, r *cellResult) {
 	if err != nil {
 		return
 	}
-	s.Put(store.TierResult, key, payload, store.Checksum(payload))
+	s.Put(store.TierResult, key, payload)
 }

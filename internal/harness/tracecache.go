@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cryptoarch/internal/check"
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/kernels"
@@ -44,12 +43,13 @@ type traceKey struct {
 }
 
 // traceEntry is a singleflight slot: the first goroutine to arrive records
-// under once; everyone else waits and replays.
+// under once; everyone else waits and replays. record sets tr, and the
+// fields it publishes with it, under traces.mu: evictLocked reads every
+// entry's tr under that lock, entries still recording included.
 type traceEntry struct {
 	once sync.Once
 
 	tr      *emu.Trace // complete trace; nil if oversized or errored
-	sum     uint64     // emu.ChecksumRecs of tr.Recs at record or fault-in time
 	codeLen int        // static code length (for I-cache warming)
 	err     error
 
@@ -63,8 +63,7 @@ type traceEntry struct {
 	// hit/miss classification counts it as a hit.
 	fromStore bool
 
-	lastUse     uint64 // cache clock at last touch (LRU)
-	sinceVerify int    // traceFor uses since the last checksum verification
+	lastUse uint64 // cache clock at last touch (LRU)
 }
 
 // maxTraceInsts caps the records retained per trace (16 B each: 48 MB).
@@ -141,21 +140,14 @@ func (r *releasingStream) Err() error {
 // so simbench and asplos2000 -json output keeps its field names. With the
 // registry disabled (SetMetrics(nil)) the counts read zero.
 type TraceCacheStats struct {
-	Hits          int `json:"hits"`           // requests served from a recorded trace
-	Misses        int `json:"misses"`         // requests that paid functional emulation
-	Records       int `json:"records"`        // full traces recorded
-	Replays       int `json:"replays"`        // runs served by a cached trace
-	Resumes       int `json:"resumes"`        // oversized records streamed out once
-	LiveFallbacks int `json:"live_fallbacks"` // runs that re-emulated live
-	Evictions     int `json:"evictions"`      // traces dropped by the LRU budget
-	// ChecksumEvictions counts retained traces whose emu.ChecksumRecs sum
-	// (CRC-32C and CRC-32, check.NewSum64) no longer matched the
-	// record-time sum when a replay was requested and verified.
-	// Each such trace is dropped and re-recorded once; a second mismatch
-	// fails the request. Nonzero means memory corruption (or a stray
-	// write through a stale slice) was caught before it skewed a run.
-	ChecksumEvictions int           `json:"checksum_evictions"`
-	RecordTime        time.Duration `json:"record_time_ns"` // wall time spent in functional recording
+	Hits          int           `json:"hits"`           // requests served from a recorded trace
+	Misses        int           `json:"misses"`         // requests that paid functional emulation
+	Records       int           `json:"records"`        // full traces recorded
+	Replays       int           `json:"replays"`        // runs served by a cached trace
+	Resumes       int           `json:"resumes"`        // oversized records streamed out once
+	LiveFallbacks int           `json:"live_fallbacks"` // runs that re-emulated live
+	Evictions     int           `json:"evictions"`      // traces dropped by the LRU budget
+	RecordTime    time.Duration `json:"record_time_ns"` // wall time spent in functional recording
 }
 
 type traceCache struct {
@@ -172,8 +164,7 @@ var traces = traceCache{entries: make(map[traceKey]*traceEntry)}
 // telemetry is disabled; every update site then no-ops.
 type tcCounters struct {
 	hits, misses, records, replays, resumes *metrics.Counter
-	liveFallbacks, evictions, checksumEv    *metrics.Counter
-	recordNS                                *metrics.Counter
+	liveFallbacks, evictions, recordNS      *metrics.Counter
 }
 
 var tcPtr atomic.Pointer[tcCounters]
@@ -187,7 +178,6 @@ func rebindTraceCounters(r *metrics.Registry) {
 		resumes:       r.Counter("tracecache.resumes"),
 		liveFallbacks: r.Counter("tracecache.live_fallbacks"),
 		evictions:     r.Counter("tracecache.evictions"),
-		checksumEv:    r.Counter("tracecache.checksum_evictions"),
 		recordNS:      r.Counter("tracecache.record_ns"),
 	})
 }
@@ -199,7 +189,7 @@ func tcCtr() *tcCounters { return tcPtr.Load() }
 func (c *tcCounters) reset() {
 	for _, ctr := range []*metrics.Counter{
 		c.hits, c.misses, c.records, c.replays, c.resumes,
-		c.liveFallbacks, c.evictions, c.checksumEv, c.recordNS,
+		c.liveFallbacks, c.evictions, c.recordNS,
 	} {
 		ctr.Reset()
 	}
@@ -224,15 +214,14 @@ func ResetTraceCache() {
 func ReadTraceCacheStats() TraceCacheStats {
 	c := tcCtr()
 	return TraceCacheStats{
-		Hits:              int(c.hits.Value()),
-		Misses:            int(c.misses.Value()),
-		Records:           int(c.records.Value()),
-		Replays:           int(c.replays.Value()),
-		Resumes:           int(c.resumes.Value()),
-		LiveFallbacks:     int(c.liveFallbacks.Value()),
-		Evictions:         int(c.evictions.Value()),
-		ChecksumEvictions: int(c.checksumEv.Value()),
-		RecordTime:        time.Duration(c.recordNS.Value()),
+		Hits:          int(c.hits.Value()),
+		Misses:        int(c.misses.Value()),
+		Records:       int(c.records.Value()),
+		Replays:       int(c.replays.Value()),
+		Resumes:       int(c.resumes.Value()),
+		LiveFallbacks: int(c.liveFallbacks.Value()),
+		Evictions:     int(c.evictions.Value()),
+		RecordTime:    time.Duration(c.recordNS.Value()),
 	}
 }
 
@@ -274,14 +263,13 @@ var recordMaxInsts uint64
 // result.
 func (e *traceEntry) record(k traceKey) {
 	tl := CurrentTimeline()
-	if tr, sum, codeLen, ok := loadTraceFromStore(k); ok {
+	if tr, codeLen, ok := loadTraceFromStore(k); ok {
 		sp := metrics.NoSpan
 		if tl != nil {
 			sp = tl.Begin("storeload", "store load "+k.cipher+"/"+k.feat.String())
 		}
-		e.tr, e.sum, e.codeLen = tr, sum, codeLen
-		e.fromStore = true
 		traces.mu.Lock()
+		e.tr, e.codeLen, e.fromStore = tr, codeLen, true
 		traces.bytes += tr.Bytes()
 		traces.evictLocked()
 		traces.mu.Unlock()
@@ -302,12 +290,12 @@ func (e *traceEntry) record(k traceKey) {
 	if recordMaxInsts != 0 {
 		m.MaxInsts = recordMaxInsts
 	}
-	e.codeLen = len(m.Prog.Code)
 	tr, complete := emu.Record(m, maxTraceInsts, getRecBuf())
 	elapsed := time.Since(start)
 
 	traces.mu.Lock()
 	tcCtr().recordNS.Add(elapsed.Nanoseconds())
+	e.codeLen = len(m.Prog.Code)
 	if !complete {
 		if ferr := m.Err(); ferr != nil {
 			// The machine faulted (instruction budget, runaway PC): the
@@ -334,11 +322,10 @@ func (e *traceEntry) record(k traceKey) {
 	tr = &emu.Trace{Prog: tr.Prog, Recs: recs}
 	tcCtr().records.Inc()
 	e.tr = tr
-	e.sum = tr.Checksum()
 	traces.bytes += tr.Bytes()
 	traces.evictLocked()
 	traces.mu.Unlock()
-	saveTraceToStore(k, tr, e.sum)
+	saveTraceToStore(k, tr)
 }
 
 // evictLocked enforces the byte budget, dropping least-recently-used
@@ -365,16 +352,13 @@ func (c *traceCache) evictLocked() {
 	}
 }
 
-// stream returns an ooo.Stream delivering the key's committed-path
-// instruction stream, plus the static code length for I-cache warming.
-// Cached keys replay without re-running the emulator.
-func (c *traceCache) stream(k traceKey) (ooo.Stream, int, error) {
-	return c.streamChecked(k, false)
-}
-
-// streamChecked is stream with the retry-once state of the checksum
-// recovery path made explicit.
-func (c *traceCache) streamChecked(k traceKey, retried bool) (ooo.Stream, int, error) {
+// acquire touches the key's entry in the LRU and runs its singleflight
+// recording. It returns the entry and whether this request recorded it.
+// A retained trace is never written after record publishes it, so the
+// requests that share it read it as is: it is hashed only where it crosses
+// the disk boundary (Store.Put on the way out; Store.Get, then
+// Trace.Validate, on the way in).
+func (c *traceCache) acquire(k traceKey) (*traceEntry, bool) {
 	c.mu.Lock()
 	e := c.entries[k]
 	if e == nil {
@@ -387,65 +371,53 @@ func (c *traceCache) streamChecked(k traceKey, retried bool) (ooo.Stream, int, e
 
 	recorded := false
 	e.once.Do(func() { recorded = true; e.record(k) })
+	return e, recorded
+}
+
+// countReplay counts a request served by the entry's retained trace. A
+// request that recorded the trace paid the functional emulation — a miss;
+// any other request rides previously recorded state — a hit. A store
+// fault-in counts as a hit even for the request that triggered it: it paid
+// a disk load, not an emulation.
+func (e *traceEntry) countReplay(recorded bool) {
+	ctr := tcCtr()
+	ctr.replays.Inc()
+	if recorded && !e.fromStore {
+		ctr.misses.Inc()
+	} else {
+		ctr.hits.Inc()
+	}
+}
+
+// stream returns an ooo.Stream delivering the key's committed-path
+// instruction stream, plus the static code length for I-cache warming.
+// Cached keys replay without re-running the emulator.
+func (c *traceCache) stream(k traceKey) (ooo.Stream, int, error) {
+	e, recorded := c.acquire(k)
 	if e.err != nil {
 		return nil, 0, e.err
 	}
-
 	c.mu.Lock()
-	// Hit/miss classification: a request that triggered the recording (or
-	// re-emulates live below) paid the functional emulation — a miss; any
-	// other request rides previously recorded state — a hit.
-	if tr := e.tr; tr != nil {
-		sum := e.sum
-		c.mu.Unlock()
-		// Re-verify the record-time checksum (outside the lock — the trace
-		// is immutable by contract, this is exactly the check that catches
-		// someone breaking that contract). On mismatch drop the entry and
-		// re-record once; a second mismatch means the corruption is not in
-		// the retained bytes and the request fails loudly.
-		if tr.Checksum() != sum {
-			c.mu.Lock()
-			tcCtr().checksumEv.Inc()
-			if c.entries[k] == e {
-				delete(c.entries, k)
-				c.bytes -= tr.Bytes()
-			}
-			c.mu.Unlock()
-			if retried {
-				return nil, 0, check.Violationf("cached-trace", 0,
-					"trace %s/%v corrupted again after re-record (sum %#x, want %#x)",
-					k.cipher, k.feat, tr.Checksum(), sum)
-			}
-			return c.streamChecked(k, true)
-		}
-		ctr := tcCtr()
-		ctr.replays.Inc()
-		// A store fault-in counts as a hit even for the goroutine that
-		// triggered it: no functional emulation was paid.
-		if recorded && !e.fromStore {
-			ctr.misses.Inc()
-		} else {
-			ctr.hits.Inc()
-		}
-		return tr.Stream(), e.codeLen, nil
-	}
-	if s := e.resume; s != nil {
-		e.resume = nil // single-use
-		ctr := tcCtr()
+	tr, codeLen, resume := e.tr, e.codeLen, e.resume
+	e.resume = nil // single-use
+	c.mu.Unlock()
+	ctr := tcCtr()
+	switch {
+	case tr != nil:
+		e.countReplay(recorded)
+		return tr.Stream(), codeLen, nil
+	case resume != nil:
 		ctr.resumes.Inc()
 		if recorded {
 			ctr.misses.Inc()
 		} else {
 			ctr.hits.Inc()
 		}
-		c.mu.Unlock()
-		return s, e.codeLen, nil
+		return resume, codeLen, nil
 	}
-	ctr := tcCtr()
+	// Live-only: this request re-emulates, so it is a miss.
 	ctr.liveFallbacks.Inc()
 	ctr.misses.Inc()
-	c.mu.Unlock()
-
 	m, err := machineFor(k)
 	if err != nil {
 		return nil, 0, err
@@ -457,80 +429,22 @@ func (c *traceCache) streamChecked(k traceKey, retried bool) (ooo.Stream, int, e
 // first request), or nil with no error when the key cannot be held as a
 // complete trace — oversized sessions and live-only keys — in which case
 // the caller must fall back to the serial stream path. Hit/miss traffic
-// is only counted when a trace is returned; the fallback path counts
-// itself when it calls stream.
+// is only counted when a trace is returned: a recording triggered here
+// still paid the emulation, but its one-shot resume stream is left for
+// the serial fallback, which counts itself when it calls stream.
 func (c *traceCache) traceFor(k traceKey) (*emu.Trace, int, error) {
-	return c.traceForChecked(k, false)
-}
-
-// traceForChecked is traceFor with the retry-once state of the checksum
-// recovery path made explicit (the same protocol as streamChecked).
-func (c *traceCache) traceForChecked(k traceKey, retried bool) (*emu.Trace, int, error) {
-	c.mu.Lock()
-	e := c.entries[k]
-	if e == nil {
-		e = &traceEntry{}
-		c.entries[k] = e
-	}
-	c.clock++
-	e.lastUse = c.clock
-	c.mu.Unlock()
-
-	recorded := false
-	e.once.Do(func() { recorded = true; e.record(k) })
+	e, recorded := c.acquire(k)
 	if e.err != nil {
 		return nil, 0, e.err
 	}
-
 	c.mu.Lock()
-	tr := e.tr
-	codeLen := e.codeLen
-	sum := e.sum
-	// Amortized integrity check: the sampler calls traceFor once per cell
-	// run, and hashing a multi-MB slab every time would dominate a sampled
-	// run that simulates only a few percent of it.
-	// Verify on the first use and every traceVerifyEvery-th use thereafter;
-	// the serial stream path keeps verifying every request.
-	e.sinceVerify++
-	verify := e.sinceVerify == 1 || e.sinceVerify > traceVerifyEvery
-	if e.sinceVerify > traceVerifyEvery {
-		e.sinceVerify = 1
-	}
+	tr, codeLen := e.tr, e.codeLen
 	c.mu.Unlock()
-	if tr == nil {
-		// Oversized or live-only: a recording triggered here still paid the
-		// emulation, but its one-shot resume stream is left for the serial
-		// fallback, which does its own accounting.
-		return nil, codeLen, nil
-	}
-	if verify && tr.Checksum() != sum {
-		c.mu.Lock()
-		tcCtr().checksumEv.Inc()
-		if c.entries[k] == e {
-			delete(c.entries, k)
-			c.bytes -= tr.Bytes()
-		}
-		c.mu.Unlock()
-		if retried {
-			return nil, 0, check.Violationf("cached-trace", 0,
-				"trace %s/%v corrupted again after re-record (sum %#x, want %#x)",
-				k.cipher, k.feat, tr.Checksum(), sum)
-		}
-		return c.traceForChecked(k, true)
-	}
-	ctr := tcCtr()
-	ctr.replays.Inc()
-	if recorded && !e.fromStore {
-		ctr.misses.Inc()
-	} else {
-		ctr.hits.Inc()
+	if tr != nil {
+		e.countReplay(recorded)
 	}
 	return tr, codeLen, nil
 }
-
-// traceVerifyEvery is the re-verification period of traceFor's amortized
-// checksum check.
-const traceVerifyEvery = 64
 
 // StreamKernel returns the committed-path instruction stream of an
 // encryption session, served from the trace cache when possible, plus the

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"sync"
 	"testing"
 
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/metrics"
+	"cryptoarch/internal/store"
 )
 
 // TestTraceBudgetEvicts pins LRU eviction under byte-budget pressure: with
@@ -59,5 +62,74 @@ func TestTraceBudgetEvicts(t *testing.T) {
 	}
 	if st := ReadTraceCacheStats(); st.Records != 3 || st.Misses != 3 {
 		t.Fatalf("re-request of evicted A: %d records, %d misses; want 3 and 3", st.Records, st.Misses)
+	}
+}
+
+// TestTraceFaultInEvictionRace faults traces in from the store on four
+// goroutines under a budget too small to hold them, so every fault-in
+// evicts while other goroutines fault in too. record must publish an
+// entry's trace under traces.mu, because evictLocked reads every entry's
+// trace under that lock, records still in flight included; under -race a
+// write outside it fails here. Afterwards the cache holds exactly the bytes
+// of the traces it retains, within budget, and every request was a store
+// hit: no live recording, no corrupt entry.
+func TestTraceFaultInEvictionRace(t *testing.T) {
+	defer SetMetrics(SetMetrics(metrics.NewRegistry()))
+	installTempStore(t)
+	var keys []traceKey
+	for _, cipher := range kernels.Names() {
+		for seed := int64(1); seed <= 3; seed++ {
+			keys = append(keys, traceKey{cipher: cipher, feat: isa.FeatRot, session: 1024, seed: seed, mode: modeEncrypt})
+		}
+	}
+	for _, k := range keys {
+		if _, _, err := traces.stream(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ResetTraceCache()
+	prev := traceBudgetBytes
+	defer func() { traceBudgetBytes = prev }()
+	traceBudgetBytes = 200 << 10
+
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range keys {
+				if _, _, err := traces.stream(keys[(i+g*len(keys)/workers)%len(keys)]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	traces.mu.Lock()
+	held := 0
+	for _, e := range traces.entries {
+		if e.tr != nil {
+			held += e.tr.Bytes()
+		}
+	}
+	bytes := traces.bytes
+	traces.mu.Unlock()
+	if bytes != held || bytes > traceBudgetBytes {
+		t.Fatalf("cache accounts %d bytes, holds %d, budget %d", bytes, held, traceBudgetBytes)
+	}
+	st := ReadTraceCacheStats()
+	if want := workers * len(keys); st.Records != 0 || st.Misses != 0 || st.Hits != want || st.Evictions == 0 {
+		t.Fatalf("cache stats %+v: want %d hits, no records or misses, some evictions", st, want)
+	}
+	if ss := store.ReadStats(); ss.Corrupt != 0 || ss.TraceMisses != 0 {
+		t.Fatalf("store stats %+v: want every fault-in a clean hit", ss)
 	}
 }

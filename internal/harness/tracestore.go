@@ -127,13 +127,9 @@ func storeKeyFor(k traceKey) (string, error) {
 }
 
 // encodeRecs returns the on-disk payload of trace records: one
-// emu.EncodeTraceRec encoding per record, the exact byte sequence
-// emu.ChecksumRecs sums, so the store's payload checksum IS the trace
-// checksum (pinned by TestStorePayloadChecksumIsTraceChecksum). One
-// check.NewSum64 value (CRC-32C and CRC-32) therefore serves file
-// integrity on disk and replay integrity in memory. Where the host layout
-// is that encoding (emu.RecBytes) the payload is the records' own memory,
-// not a copy, so it must not be written.
+// emu.EncodeTraceRec encoding per record. Where the host layout is that
+// encoding (emu.RecBytes) the payload is the records' own memory, not a
+// copy, so it must not be written; Store.Put only reads and sums it.
 func encodeRecs(recs []emu.TraceRec) []byte {
 	if b, ok := emu.RecBytes(recs); ok {
 		return b
@@ -163,48 +159,47 @@ func decodeRecs(b []byte) ([]emu.TraceRec, bool) {
 }
 
 // loadTraceFromStore tries to fault a complete trace in from the
-// persistent store. On success the trace is structurally validated
-// (Trace.Validate) against the freshly assembled program and returned with
-// its checksum — which the store already verified on load — and static
-// code length. Every failure (no store, key underivable, store miss,
+// persistent store. The store has verified the entry's header and payload
+// sum; the decoded trace is then structurally validated (Trace.Validate)
+// against the freshly assembled program and returned with its static code
+// length. Every failure (no store, key underivable, store miss,
 // undecodable payload, validation) is just "not ok": the caller records
 // live, exactly as if the store did not exist.
-func loadTraceFromStore(k traceKey) (*emu.Trace, uint64, int, bool) {
+func loadTraceFromStore(k traceKey) (*emu.Trace, int, bool) {
 	s := CurrentStore()
 	if s == nil {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	key, err := storeKeyFor(k)
 	if err != nil {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
-	payload, sum, ok := s.Get(store.TierTrace, key)
+	payload, _, ok := s.Get(store.TierTrace, key)
 	if !ok {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	recs, ok := decodeRecs(payload)
 	if !ok {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	prog, err := progFor(k)
 	if err != nil {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	tr := &emu.Trace{Prog: prog, Recs: recs}
 	if tr.Validate() != nil {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
-	return tr, sum, len(prog.Code), true
+	return tr, len(prog.Code), true
 }
 
 // saveTraceToStore persists a freshly recorded complete trace
-// (write-through) under sum, its emu.ChecksumRecs from record time: the
-// payload is the records' encoding, so that sum is the payload's store
-// checksum and the store need not hash it again. Oversized sessions never
+// (write-through); Store.Put sums the payload as it writes it. With no
+// store installed nothing is encoded or hashed. Oversized sessions never
 // reach here — they are not retained in memory either. Errors are
 // deliberately dropped: persistence is an accelerator, and a full disk
 // must not fail a simulation run.
-func saveTraceToStore(k traceKey, tr *emu.Trace, sum uint64) {
+func saveTraceToStore(k traceKey, tr *emu.Trace) {
 	s := CurrentStore()
 	if s == nil {
 		return
@@ -213,7 +208,7 @@ func saveTraceToStore(k traceKey, tr *emu.Trace, sum uint64) {
 	if err != nil {
 		return
 	}
-	s.Put(store.TierTrace, key, encodeRecs(tr.Recs), sum)
+	s.Put(store.TierTrace, key, encodeRecs(tr.Recs))
 }
 
 // SetTraceBudget sets the trace-cache LRU byte budget (exposed as

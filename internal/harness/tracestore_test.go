@@ -35,11 +35,10 @@ func installTempStore(t *testing.T) *store.Store {
 // reached by two code paths. The expected payload is built record by
 // record with emu.EncodeTraceRec, the format's definition; encodeRecs (an
 // in-place view where the host layout allows) must return exactly those
-// bytes, emu.ChecksumRecs must equal their check.NewSum64, and decodeRecs
-// must invert them. The entry file saveTraceToStore writes must be exactly
-// magic | length | ChecksumRecs | encoding: the schema-2 layout, byte for
-// byte. Record counts straddle emu.ChecksumBatchRecs, the encode path's
-// batch, as well as the empty and one-record traces.
+// bytes and decodeRecs must invert them. The entry file saveTraceToStore
+// writes must be exactly magic | length | check.NewSum64 of the encoding |
+// encoding: the schema-2 layout, byte for byte. Record counts cover the
+// empty and one-record traces and a few hundred records.
 func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 	s := installTempStore(t)
 	edge := []emu.TraceRec{
@@ -48,8 +47,7 @@ func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 		{Addr: 0, Idx: 0xffffffff, Br: 0xffffffff},
 		{Addr: 1, Idx: 1, Br: 1},
 	}
-	b := emu.ChecksumBatchRecs
-	for _, n := range []int{0, 1, len(edge), b - 1, b, b + 1, 2*b + 1} {
+	for _, n := range []int{0, 1, len(edge), 255, 256, 257, 513} {
 		recs := make([]emu.TraceRec, n)
 		want := make([]byte, n*emu.TraceRecBytes)
 		for i := range recs {
@@ -61,12 +59,6 @@ func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 		payload := encodeRecs(recs)
 		if !bytes.Equal(payload, want) {
 			t.Fatalf("n=%d: encodeRecs differs from the EncodeTraceRec encoding", n)
-		}
-		h := check.NewSum64()
-		h.Write(want)
-		sum := h.Sum64()
-		if got := emu.ChecksumRecs(recs); got != sum {
-			t.Fatalf("n=%d: trace checksum %#x != payload checksum %#x", n, got, sum)
 		}
 		back, ok := decodeRecs(payload)
 		if !ok || len(back) != n {
@@ -84,7 +76,7 @@ func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 		}
 
 		k := traceKey{cipher: "blowfish", feat: isa.FeatRot, session: n, seed: 1, mode: modeEncrypt}
-		saveTraceToStore(k, &emu.Trace{Recs: recs}, emu.ChecksumRecs(recs))
+		saveTraceToStore(k, &emu.Trace{Recs: recs})
 		key, err := storeKeyFor(k)
 		if err != nil {
 			t.Fatal(err)
@@ -93,8 +85,10 @@ func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: trace entry was not written: %v", n, err)
 		}
+		h := check.NewSum64()
+		h.Write(want)
 		entry := binary.LittleEndian.AppendUint64([]byte("simstor2"), uint64(len(want)))
-		entry = binary.LittleEndian.AppendUint64(entry, sum)
+		entry = binary.LittleEndian.AppendUint64(entry, h.Sum64())
 		entry = append(entry, want...)
 		if !bytes.Equal(raw, entry) {
 			t.Fatalf("n=%d: trace entry file is not magic | length | sum | encoding (%d bytes, want %d)", n, len(raw), len(entry))

@@ -41,7 +41,7 @@ func openChaos(t *testing.T) (*Store, *check.FaultFS, *check.Injector) {
 func TestChaosReadTransientRetries(t *testing.T) {
 	s, ffs, in := openChaos(t)
 	payload := []byte("retry me")
-	if err := put(s, TierResult, "k1", payload); err != nil {
+	if err := s.Put(TierResult, "k1", payload); err != nil {
 		t.Fatal(err)
 	}
 	// Two transient read failures, then the disk recovers: the retry loop
@@ -65,7 +65,7 @@ func TestChaosReadTransientRetries(t *testing.T) {
 
 func TestChaosReadPersistentDegrades(t *testing.T) {
 	s, ffs, _ := openChaos(t)
-	if err := put(s, TierResult, "k1", []byte("soon unreachable")); err != nil {
+	if err := s.Put(TierResult, "k1", []byte("soon unreachable")); err != nil {
 		t.Fatal(err)
 	}
 	// The disk never recovers: retries exhaust, the store degrades, and
@@ -88,7 +88,7 @@ func TestChaosReadPersistentDegrades(t *testing.T) {
 	if _, _, ok := s.Get(TierResult, "k1"); ok {
 		t.Fatal("degraded Get hit")
 	}
-	if err := put(s, TierResult, "k2", []byte("dropped")); err != nil {
+	if err := s.Put(TierResult, "k2", []byte("dropped")); err != nil {
 		t.Fatalf("degraded Put errored: %v", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestChaosReadPersistentDegrades(t *testing.T) {
 func TestChaosWriteErrorRetriesThenDegrades(t *testing.T) {
 	s, ffs, _ := openChaos(t)
 	ffs.Plan(check.FaultFSWrite, 0, -1, syscall.EIO)
-	err := put(s, TierResult, "k1", []byte("never lands"))
+	err := s.Put(TierResult, "k1", []byte("never lands"))
 	if err == nil {
 		t.Fatal("Put through a failing disk reported success")
 	}
@@ -154,7 +154,7 @@ func TestChaosWriteFailureLeavesNoTempResidue(t *testing.T) {
 				t.Run(tier.String(), func(t *testing.T) {
 					s, ffs, _ := openChaos(t)
 					ffs.Plan(c.class, 0, -1, syscall.EIO)
-					if err := put(s, tier, "k1", chaosPayload(tier)); err == nil {
+					if err := s.Put(tier, "k1", chaosPayload(tier)); err == nil {
 						t.Fatalf("Put with failing %s reported success", c.name)
 					}
 					assertNoTemps(t, s)
@@ -170,14 +170,14 @@ func TestChaosTornWriteHealsOnLoad(t *testing.T) {
 			s, ffs, in := openChaos(t)
 			payload := chaosPayload(tier)
 			ffs.Plan(check.FaultFSTorn, 0, 1, nil)
-			if err := put(s, tier, "k1", payload); err != nil {
+			if err := s.Put(tier, "k1", payload); err != nil {
 				t.Fatalf("torn write must report success (that is the fault): %v", err)
 			}
 			// The header and payload are written as two parts, but the
 			// tear keeps the first half of the entry as a whole.
 			entry := append([]byte(entryMagic), make([]byte, 16)...)
 			binary.LittleEndian.PutUint64(entry[8:16], uint64(len(payload)))
-			binary.LittleEndian.PutUint64(entry[16:24], Checksum(payload))
+			binary.LittleEndian.PutUint64(entry[16:24], checksum(payload))
 			entry = append(entry, payload...)
 			raw, err := os.ReadFile(s.EntryPath(tier, "k1"))
 			if err != nil || !bytes.Equal(raw, entry[:len(entry)/2]) {
@@ -198,7 +198,7 @@ func TestChaosTornWriteHealsOnLoad(t *testing.T) {
 			}
 			// Re-record once: a clean Put under the same key must land and
 			// hit.
-			if err := put(s, tier, "k1", payload); err != nil {
+			if err := s.Put(tier, "k1", payload); err != nil {
 				t.Fatal(err)
 			}
 			if got, _, ok := s.Get(tier, "k1"); !ok || string(got) != string(payload) {
@@ -216,7 +216,7 @@ func TestChaosENOSPCDegradesWithoutRetry(t *testing.T) {
 		t.Run(tier.String(), func(t *testing.T) {
 			s, ffs, _ := openChaos(t)
 			ffs.Plan(check.FaultFSFull, 0, -1, nil)
-			err := put(s, tier, "k1", chaosPayload(tier))
+			err := s.Put(tier, "k1", chaosPayload(tier))
 			if err == nil {
 				t.Fatal("Put on a full disk reported success")
 			}
@@ -231,7 +231,7 @@ func TestChaosENOSPCDegradesWithoutRetry(t *testing.T) {
 				t.Fatalf("degraded = %d, want 1", st.Degraded)
 			}
 			// The degraded store must keep absorbing traffic silently.
-			if err := put(s, tier, "k2", []byte("dropped")); err != nil {
+			if err := s.Put(tier, "k2", []byte("dropped")); err != nil {
 				t.Fatalf("degraded Put errored: %v", err)
 			}
 		})
@@ -250,7 +250,7 @@ func TestChaosFaultClassCoverage(t *testing.T) {
 		t.Run(string(class), func(t *testing.T) {
 			s, ffs, in := openChaos(t)
 			if class == check.FaultFSRead {
-				if err := put(s, TierResult, "k1", []byte("x")); err != nil {
+				if err := s.Put(TierResult, "k1", []byte("x")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -259,7 +259,7 @@ func TestChaosFaultClassCoverage(t *testing.T) {
 			case check.FaultFSRead:
 				s.Get(TierResult, "k1")
 			default:
-				put(s, TierResult, "k1", []byte("probe payload"))
+				s.Put(TierResult, "k1", []byte("probe payload"))
 			}
 			fired := false
 			for _, got := range in.Injected() {

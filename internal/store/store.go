@@ -11,10 +11,9 @@
 // change to any identity field derives a different key, so staleness is
 // structurally impossible; the only failure modes left are capacity (LRU
 // eviction against a byte budget) and corruption (a 64-bit CRC-32C/CRC-32
-// payload sum, check.NewSum64, verified on every load; corrupt entries are
-// deleted, counted, and reported as misses so the caller re-records
-// exactly once — the same discipline as the trace cache's
-// ChecksumEvictions).
+// payload sum, check.NewSum64, taken by Put as it writes and verified on
+// every load; corrupt entries are deleted, counted, and reported as misses
+// so the caller re-records exactly once).
 //
 // Writes are atomic (temp file + rename into place), so a crashed or
 // concurrent writer can never leave a half-written entry under a live key;
@@ -85,13 +84,10 @@ const (
 	headerBytes = 24 // magic(8) | payload len LE64 | check.NewSum64 sum LE64
 )
 
-// Checksum is the payload integrity sum, check.NewSum64 (CRC-32C in the
-// high half, CRC-32 in the low). Put takes it from the caller: the result
-// tier computes it here, and the trace tier passes emu.ChecksumRecs from
-// record time, which equals Checksum of the payload because the payload
-// is the records' encoding (pinned by a harness test). Get verifies it on
-// every load.
-func Checksum(payload []byte) uint64 {
+// checksum is the payload integrity sum, check.NewSum64 (CRC-32C in the
+// high half, CRC-32 in the low). Put computes it over the payload it
+// writes and Get verifies it on every load.
+func checksum(payload []byte) uint64 {
 	h := check.NewSum64()
 	h.Write(payload)
 	return h.Sum64()
@@ -297,10 +293,9 @@ func (s *Store) Len() int {
 // Get loads an entry's payload, verifying the header (magic and length)
 // and the check.NewSum64 payload sum. A missing entry is a plain miss. A
 // corrupted, truncated or old-format entry is deleted from disk, counted
-// on the corrupt counter, and reported as a miss — the caller re-records and Puts, so corruption costs exactly one
-// re-computation. The returned sum is the payload checksum from the
-// verified header (for trace entries, equal to emu.ChecksumRecs of the
-// decoded records).
+// on the corrupt counter, and reported as a miss — the caller re-records
+// and Puts, so corruption costs exactly one re-computation. The returned
+// sum is the payload checksum from the verified header.
 func (s *Store) Get(t Tier, key string) (payload []byte, sum uint64, ok bool) {
 	if s == nil || s.degraded.Load() {
 		return nil, 0, false
@@ -332,7 +327,7 @@ func (s *Store) Get(t Tier, key string) (payload []byte, sum uint64, ok bool) {
 	}
 	payload = data[headerBytes:]
 	sum = binary.LittleEndian.Uint64(data[16:24])
-	if Checksum(payload) != sum {
+	if checksum(payload) != sum {
 		s.dropCorrupt(t, key, path)
 		return nil, 0, false
 	}
@@ -401,17 +396,16 @@ func (s *Store) dropCorrupt(t Tier, key, path string) {
 
 // Put writes an entry atomically: the header and the payload go into a
 // temp file in the store root as two parts, never joined in memory, and
-// the file is then renamed into place. sum is the payload's Checksum; the
-// caller supplies it (the trace tier holds it from record time), and a
-// wrong one costs only a corrupt miss on the next load. fsync'd order is
-// not required: a torn write fails the checksum and self-heals as a
-// corrupt miss. Payloads that alone exceed the byte budget are silently
-// not stored. Overwriting an existing key is allowed and idempotent —
-// content addressing means the bytes are identical anyway. Transient
-// write/rename failures are retried with backoff; a persistent one
-// degrades the store (future Puts become free no-ops) and returns the
-// error for counting.
-func (s *Store) Put(t Tier, key string, payload []byte, sum uint64) error {
+// the file is then renamed into place. The header carries the payload's
+// checksum, computed here: a payload is hashed where it crosses the disk
+// boundary, whoever built it. fsync'd order is not required: a torn write
+// fails the checksum and self-heals as a corrupt miss. Payloads that alone
+// exceed the byte budget are silently not stored. Overwriting an existing
+// key is allowed and idempotent — content addressing means the bytes are
+// identical anyway. Transient write/rename failures are retried with
+// backoff; a persistent one degrades the store (future Puts become free
+// no-ops) and returns the error for counting.
+func (s *Store) Put(t Tier, key string, payload []byte) error {
 	if s == nil || s.degraded.Load() {
 		return nil
 	}
@@ -423,7 +417,7 @@ func (s *Store) Put(t Tier, key string, payload []byte, sum uint64) error {
 	var hdr [headerBytes]byte
 	copy(hdr[:], entryMagic)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[16:24], sum)
+	binary.LittleEndian.PutUint64(hdr[16:24], checksum(payload))
 	if err := s.writeFileAtomic(s.EntryPath(t, key), hdr[:], payload); err != nil {
 		s.degrade(err)
 		return fmt.Errorf("store: %w", err)

@@ -20,12 +20,6 @@ func withCounters(t *testing.T) {
 	t.Cleanup(func() { Rebind(nil) })
 }
 
-// put is Put with the payload's own Checksum, the sum the result tier
-// passes.
-func put(s *Store, t Tier, key string, payload []byte) error {
-	return s.Put(t, key, payload, Checksum(payload))
-}
-
 func openTemp(t *testing.T, budget int64) *Store {
 	t.Helper()
 	s, err := Open(t.TempDir(), budget)
@@ -39,7 +33,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	withCounters(t)
 	s := openTemp(t, 1<<20)
 	payload := []byte("the quick brown fox jumps over the lazy dog")
-	if err := put(s, TierTrace, "aaaa", payload); err != nil {
+	if err := s.Put(TierTrace, "aaaa", payload); err != nil {
 		t.Fatal(err)
 	}
 	got, sum, ok := s.Get(TierTrace, "aaaa")
@@ -49,8 +43,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("payload mangled: %q", got)
 	}
-	if sum != Checksum(payload) {
-		t.Fatalf("sum %#x, want %#x", sum, Checksum(payload))
+	if sum != checksum(payload) {
+		t.Fatalf("sum %#x, want %#x", sum, checksum(payload))
 	}
 	// The tiers are separate namespaces.
 	if _, _, ok := s.Get(TierResult, "aaaa"); ok {
@@ -78,7 +72,7 @@ func TestNilStoreIsDisabled(t *testing.T) {
 	if _, _, ok := s.Get(TierTrace, "k"); ok {
 		t.Fatal("nil store hit")
 	}
-	if err := put(s, TierTrace, "k", []byte("x")); err != nil {
+	if err := s.Put(TierTrace, "k", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if s.Root() != "" || s.Len() != 0 || s.BytesUsed() != 0 {
@@ -93,7 +87,7 @@ func TestCorruptionBitFlip(t *testing.T) {
 	withCounters(t)
 	s := openTemp(t, 1<<20)
 	payload := []byte("some result bytes worth protecting")
-	if err := put(s, TierResult, "bbbb", payload); err != nil {
+	if err := s.Put(TierResult, "bbbb", payload); err != nil {
 		t.Fatal(err)
 	}
 	path := s.EntryPath(TierResult, "bbbb")
@@ -116,7 +110,7 @@ func TestCorruptionBitFlip(t *testing.T) {
 		t.Fatalf("stats %+v: want corrupt=1 and the corrupt read counted as a miss", st)
 	}
 	// Re-record once: the next Put+Get cycle is clean.
-	if err := put(s, TierResult, "bbbb", payload); err != nil {
+	if err := s.Put(TierResult, "bbbb", payload); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, ok := s.Get(TierResult, "bbbb"); !ok || string(got) != string(payload) {
@@ -124,27 +118,6 @@ func TestCorruptionBitFlip(t *testing.T) {
 	}
 	if st := ReadStats(); st.Corrupt != 1 {
 		t.Fatalf("corrupt counter moved on the healed entry: %+v", st)
-	}
-}
-
-// TestCorruptionWrongSum pins that Put writes the caller's sum as given
-// and that Get, not Put, is the check: an entry stored under a sum its
-// payload does not have is dropped as corrupt on its first load.
-func TestCorruptionWrongSum(t *testing.T) {
-	withCounters(t)
-	s := openTemp(t, 1<<20)
-	payload := []byte("records changed after their sum was taken")
-	if err := s.Put(TierTrace, "stale", payload, Checksum(payload)^1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.Get(TierTrace, "stale"); ok {
-		t.Fatal("Get served an entry whose payload does not match its sum")
-	}
-	if st := ReadStats(); st.Corrupt != 1 || st.TraceMisses != 1 {
-		t.Fatalf("stats %+v: want the mismatched entry counted as corrupt and as a miss", st)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("mismatched entry still indexed: %d entries", s.Len())
 	}
 }
 
@@ -156,7 +129,7 @@ func TestCorruptionTruncate(t *testing.T) {
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	for i, cut := range []int{headerBytes - 8, headerBytes + len(payload)/2} {
 		key := string(rune('a'+i)) + "trunc"
-		if err := put(s, TierTrace, key, payload); err != nil {
+		if err := s.Put(TierTrace, key, payload); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Truncate(s.EntryPath(TierTrace, key), int64(cut)); err != nil {
@@ -230,7 +203,7 @@ func TestEviction(t *testing.T) {
 	s := openTemp(t, 2*(100+headerBytes)+10)
 	pay := make([]byte, 100)
 	for _, k := range []string{"k1", "k2"} {
-		if err := put(s, TierTrace, k, pay); err != nil {
+		if err := s.Put(TierTrace, k, pay); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +211,7 @@ func TestEviction(t *testing.T) {
 	if _, _, ok := s.Get(TierTrace, "k1"); !ok {
 		t.Fatal("k1 missing before eviction")
 	}
-	if err := put(s, TierTrace, "k3", pay); err != nil {
+	if err := s.Put(TierTrace, "k3", pay); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.Get(TierTrace, "k2"); ok {
@@ -257,7 +230,7 @@ func TestEviction(t *testing.T) {
 		t.Fatalf("store holds %d entries, want 2", s.Len())
 	}
 	// Entries that alone exceed the budget are not stored at all.
-	if err := put(s, TierTrace, "huge", make([]byte, 4096)); err != nil {
+	if err := s.Put(TierTrace, "huge", make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.Get(TierTrace, "huge"); ok {
@@ -274,7 +247,7 @@ func TestReopenPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := put(s1, TierResult, "persist", []byte("payload")); err != nil {
+	if err := s1.Put(TierResult, "persist", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir, 1<<20)
@@ -309,7 +282,7 @@ func TestStaleManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := put(s, TierTrace, "x", []byte("y")); err != nil {
+	if err := s.Put(TierTrace, "x", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir2, manifestFile)); err != nil {
