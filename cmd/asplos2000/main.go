@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -93,23 +92,6 @@ type sweepProgressView struct {
 	LastCellSeconds float64 `json:"last_cell_seconds,omitempty"`
 }
 
-// writeCheckpoint persists the sweep checkpoint, creating the directory if
-// needed (the default path lives inside the store dir, which a -no-store
-// run never created). Best-effort: a failed checkpoint write must not mask
-// the run's own exit status.
-func writeCheckpoint(path string, cp *experiments.Checkpoint) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "asplos2000: checkpoint: %v\n", err)
-		return
-	}
-	if err := experiments.WriteCheckpoint(path, cp); err != nil {
-		fmt.Fprintf(os.Stderr, "asplos2000: checkpoint: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "checkpoint: wrote %s (%s: %d done, %d poisoned, %d outstanding of %d)\n",
-		path, cp.Reason, cp.Done, len(cp.Poisoned), len(cp.Outstanding), cp.Total)
-}
-
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -127,8 +109,6 @@ func run() int {
 	noStore := flag.Bool("no-store", false, "disable the persistent store for this invocation")
 	traceBudget := flag.Int("trace-budget", 0, "in-memory trace-cache byte budget (0 = keep the default, 192 MiB)")
 	metricsAddr := flag.String("metrics-addr", "", "serve read-only telemetry over HTTP on this address (e.g. 127.0.0.1:8088; empty = off): /metrics is the live registry snapshot, /progress the per-cell sweep position")
-	ckptPath := flag.String("checkpoint", "", "sweep checkpoint file (default <store-dir>/sweep.ckpt); written on interrupt and at clean completion")
-	resume := flag.Bool("resume", false, "resume from the checkpoint: validate that it matches this grid and tree, then re-run the sweep (completed cells warm-hit the store)")
 	cellDeadline := flag.Duration("cell-deadline", 0, "per-cell wall-clock watchdog (0 = off); a cell running longer is abandoned and reported as timed out")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to this file (read it with go tool pprof); an interrupted run still writes it")
 	flag.Parse()
@@ -145,25 +125,12 @@ func run() int {
 	}()
 
 	harness.SetTraceBudget(*traceBudget)
-	// ckptOpted: the user asked for checkpointing by flag. An interrupt
-	// writes the checkpoint regardless; the clean-completion rewrite (which
-	// closes out an interrupted-then-resumed sequence) happens only when
-	// opted in or when a checkpoint file already exists to supersede.
-	ckptOpted := *resume
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "checkpoint" {
-			ckptOpted = true
-		}
-	})
-	if *ckptPath == "" {
-		*ckptPath = filepath.Join(*storeDir, "sweep.ckpt")
-	}
 	experiments.SetCellDeadline(*cellDeadline)
 
-	// First SIGINT/SIGTERM cancels the run context: the sweep winds down at
-	// its cooperative boundaries, a checkpoint lands, and the run exits 130
-	// through the normal defers. A second signal force-exits 131 on the
-	// spot — the user is done waiting, and cleanup is forfeit.
+	// First SIGINT/SIGTERM cancels the run context: the sweep dispatches no
+	// further cell, the running ones finish and land in the store, and the
+	// run exits 130 through the normal defers. A second signal force-exits
+	// 131 on the spot — the user is done waiting, and cleanup is forfeit.
 	ctx, stopSignals := harness.NotifyInterrupt(context.Background(), func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "asplos2000: %v again — forced exit, skipping cleanup\n", sig)
 		os.Exit(harness.ExitForced)
@@ -273,27 +240,6 @@ func run() int {
 
 	cells := append(experiments.AllCells(), diffCells...)
 
-	// -resume: trust the store's warm entries only for the exact grid the
-	// checkpoint was written against. A mismatch — different tree, different
-	// flags, different cells — is a refusal, not a silent cold run.
-	if *resume {
-		if !*parallel {
-			fmt.Fprintln(os.Stderr, "asplos2000: -resume requires the parallel sweep (-parallel=true)")
-			return harness.ExitUsage
-		}
-		cp, err := experiments.LoadCheckpoint(*ckptPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asplos2000: -resume: %v\n", err)
-			return harness.ExitUsage
-		}
-		if err := cp.Matches(cells); err != nil {
-			fmt.Fprintf(os.Stderr, "asplos2000: -resume: %v\n", err)
-			return harness.ExitUsage
-		}
-		fmt.Fprintf(os.Stderr, "resume: checkpoint %s matches grid (%d done, %d outstanding of %d); completed cells will warm-hit the store\n",
-			cp.GridKey, cp.Done, len(cp.Outstanding), cp.Total)
-	}
-
 	poisoned := 0
 	if *parallel {
 		// Execute every experiment's declared grid across GOMAXPROCS
@@ -347,20 +293,12 @@ func run() int {
 			}
 		}
 		if outcome.Cancelled != nil {
-			// Interrupted: everything completed so far is already durable in
-			// the store; the checkpoint records the grid identity and what
-			// remains, so -resume can pick up exactly here.
-			writeCheckpoint(*ckptPath, experiments.NewCheckpoint(cells, outcome, "interrupt"))
-			fmt.Fprintf(os.Stderr, "asplos2000: interrupted (%v): %d of %d cells done; resume with -resume\n",
+			// Interrupted: every cell that finished is already durable in
+			// the store under a key naming this tree and cell, so the same
+			// command run again simulates only what is left.
+			fmt.Fprintf(os.Stderr, "asplos2000: interrupted (%v): %d of %d cells done; run the same command again to resume\n",
 				outcome.Cancelled, outcome.Count(experiments.CellDone), len(outcome.Cells))
 			return harness.ExitInterrupt
-		}
-		// Clean completion rewrites the checkpoint only when the user opted
-		// into checkpointing or a prior interrupt left one to supersede —
-		// plain runs must not scatter sweep.ckpt files (or conjure the store
-		// directory under -no-store).
-		if _, err := os.Stat(*ckptPath); err == nil || ckptOpted {
-			writeCheckpoint(*ckptPath, experiments.NewCheckpoint(cells, outcome, "complete"))
 		}
 	}
 

@@ -272,14 +272,14 @@ func benchStore() (*storeBench, error) {
 	return sb, nil
 }
 
-func timedSweep(ctx context.Context, workers int) (float64, *experiments.SweepOutcome) {
+func timedSweep(ctx context.Context, workers int) float64 {
 	experiments.ResetCache() // drops cell results and recorded traces
 	prev := experiments.SetParallelism(workers)
 	defer experiments.SetParallelism(prev)
 	runtime.GC() // level the heap between passes so the second isn't charged the first's garbage
 	start := time.Now()
-	out := experiments.SweepObservedCtx(ctx, experiments.AllCells(), nil)
-	return time.Since(start).Seconds(), out
+	experiments.SweepObservedCtx(ctx, experiments.AllCells(), nil)
+	return time.Since(start).Seconds()
 }
 
 // attributionLines renders the per-cause stall-share movement between two
@@ -473,8 +473,6 @@ func run() int {
 	window := flag.Int("window", 5, "rolling-baseline window for -history (earlier comparable runs averaged)")
 	tol := flag.Float64("tol", 0.30, "relative tolerance for -history (0.30 = flag a >30% move in the bad direction)")
 	metricsAddr := flag.String("metrics-addr", "", "serve read-only telemetry over HTTP on this address (e.g. 127.0.0.1:8088; empty = off): /metrics is the live registry snapshot, /progress the current benchmark phase")
-	ckptPath := flag.String("checkpoint", "sweep.ckpt", "sweep checkpoint file, written when the sweep phase is interrupted")
-	resume := flag.Bool("resume", false, "validate the checkpoint against this grid and tree before benchmarking (with -store-dir, completed sweep cells warm-hit the store)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this run to this file (read it with go tool pprof); an interrupted run still writes it")
 	flag.Parse()
 
@@ -495,12 +493,12 @@ func run() int {
 
 	harness.SetTraceBudget(*traceBudget)
 
-	// First SIGINT/SIGTERM cancels the run: the current phase winds down at
-	// its cooperative boundaries and the process exits 130 through the
-	// normal defers (metrics endpoint drained, checkpoint written if the
-	// sweep was interrupted). A second signal force-exits 131. No partial
-	// benchmark record is ever appended to the ledger: an interrupted
-	// measurement would poison the trend baselines.
+	// First SIGINT/SIGTERM cancels the run: the current phase stops at its
+	// next boundary (the sweep at a cell boundary) and the process exits
+	// 130 through the normal defers (metrics endpoint drained). A second
+	// signal force-exits 131. No partial benchmark record is ever appended
+	// to the ledger: an interrupted measurement would poison the trend
+	// baselines.
 	ctx, stopSignals := harness.NotifyInterrupt(context.Background(), func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "simbench: %v again — forced exit, skipping cleanup\n", sig)
 		os.Exit(harness.ExitForced)
@@ -542,24 +540,6 @@ func run() int {
 			return harness.ExitError
 		}
 		harness.SetStore(s)
-	}
-
-	// -resume: same identity discipline as asplos2000 — the checkpoint must
-	// match this grid under this tree, or the flag refuses. The benchmark
-	// then runs normally; with a persistent store installed, the sweep
-	// phase's completed cells warm-hit it.
-	if *resume {
-		cp, err := experiments.LoadCheckpoint(*ckptPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: -resume: %v\n", err)
-			return harness.ExitUsage
-		}
-		if err := cp.Matches(experiments.AllCells()); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: -resume: %v\n", err)
-			return harness.ExitUsage
-		}
-		fmt.Fprintf(os.Stderr, "resume: checkpoint %s matches grid (%d done, %d outstanding of %d)\n",
-			cp.GridKey, cp.Done, len(cp.Outstanding), cp.Total)
 	}
 
 	// interrupted reports (once per phase boundary) whether the run context
@@ -636,27 +616,12 @@ func run() int {
 		res.SweepCells = len(experiments.AllCells())
 		res.SweepWorkers = runtime.GOMAXPROCS(0)
 		setPhase("sweep serial")
-		serialSec, serialOut := timedSweep(ctx, 1)
-		res.SweepSerialSeconds = serialSec
-		var parallelOut *experiments.SweepOutcome
-		if serialOut.Cancelled == nil {
+		res.SweepSerialSeconds = timedSweep(ctx, 1)
+		if !interrupted() {
 			setPhase("sweep parallel")
-			res.SweepParallelSeconds, parallelOut = timedSweep(ctx, res.SweepWorkers)
+			res.SweepParallelSeconds = timedSweep(ctx, res.SweepWorkers)
 		}
 		experiments.ResetCache()
-		// An interrupted sweep phase leaves a checkpoint: the grid identity
-		// plus what completed, so a -store-dir run can resume warm.
-		for _, out := range []*experiments.SweepOutcome{serialOut, parallelOut} {
-			if out != nil && out.Cancelled != nil {
-				cp := experiments.NewCheckpoint(experiments.AllCells(), out, "interrupt")
-				if err := experiments.WriteCheckpoint(*ckptPath, cp); err != nil {
-					fmt.Fprintf(os.Stderr, "simbench: checkpoint: %v\n", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "checkpoint: wrote %s (%d done of %d)\n", *ckptPath, cp.Done, cp.Total)
-				}
-				break
-			}
-		}
 		if !interrupted() {
 			fmt.Fprintf(os.Stderr, "sweep %d cells: serial %.1fs, %d workers %.1fs\n",
 				res.SweepCells, res.SweepSerialSeconds, res.SweepWorkers, res.SweepParallelSeconds)

@@ -17,7 +17,9 @@ import (
 // sweep completes every cell, and a final pass over a fresh process-state
 // (cache dropped, counters zeroed) warm-hits the store for the entire
 // grid — proving every entry the interrupted rounds persisted is intact
-// and nothing poisoned leaked to disk.
+// and nothing poisoned leaked to disk. Last, an uninterrupted sweep in a
+// fresh store must reproduce every result the interrupted-then-re-run
+// store serves.
 
 func soakGrid() []Cell {
 	var cells []Cell
@@ -48,8 +50,11 @@ func TestSweepInterruptionSoak(t *testing.T) {
 	panicTarget := cells[0].key()
 
 	// Chaos rounds: the first few also panic one cell (so that cell never
-	// stores), and every round is cancelled after a staggered delay — from
-	// "immediately" through "mid-sweep" to "probably finished".
+	// stores), and every round is cancelled once a staggered number of
+	// cells has finished — from "before the first" through "mid-sweep" to
+	// "after the last". The grid takes about a millisecond, too short for
+	// a timer to stop it mid-sweep reliably.
+	midSweep := 0
 	for round := 0; round < 8; round++ {
 		ResetCache() // forget memo state; disk survives, like a new process
 		if round < 3 {
@@ -62,10 +67,21 @@ func TestSweepInterruptionSoak(t *testing.T) {
 		} else {
 			execOverride = nil
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(round)*2*time.Millisecond)
-		out := SweepObservedCtx(ctx, cells, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := round % (len(cells) + 1)
+		if stop == 0 {
+			cancel()
+		}
+		out := SweepObservedCtx(ctx, cells, func(done, _ int, _ Cell, _ time.Duration) {
+			if done == stop {
+				cancel()
+			}
+		})
 		cancel()
 		execOverride = nil
+		if n := out.Count(CellSkipped); n > 0 && n < len(cells) {
+			midSweep++
+		}
 		// Invariants that must hold after every interrupted round: no
 		// temp-file residue in the store, and no interrupt artifact
 		// classified as a cell failure (panics are the only poison here).
@@ -77,6 +93,10 @@ func TestSweepInterruptionSoak(t *testing.T) {
 				t.Fatalf("round %d: non-panic poison %v: %v", round, co.Cell, co.Err)
 			}
 		}
+	}
+
+	if midSweep == 0 {
+		t.Fatal("no chaos round stopped mid-sweep")
 	}
 
 	// The store must reopen cleanly after all that (manifest intact, every
@@ -111,5 +131,30 @@ func TestSweepInterruptionSoak(t *testing.T) {
 	}
 	if st.Corrupt != 0 {
 		t.Fatalf("soak left %d corrupt entries", st.Corrupt)
+	}
+	soaked := make([]*cellResult, len(cells))
+	for i, c := range cells {
+		soaked[i] = getCell(c)
+	}
+
+	// Reference: the same grid swept once, uninterrupted, in a fresh store.
+	fresh, err := store.Open(t.TempDir(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	harness.SetStore(fresh)
+	ResetCache()
+	if out := SweepObservedCtx(context.Background(), cells, nil); !out.Clean() {
+		t.Fatalf("reference run not clean: %+v", out)
+	}
+	for i, c := range cells {
+		ref, got := getCell(c), soaked[i]
+		if ref.n == 0 && ref.mix.total == 0 {
+			t.Fatalf("%s: uninterrupted run measured nothing", c.label())
+		}
+		if ref.n != got.n || ref.mix != got.mix {
+			t.Fatalf("%s: soak result n=%d mix=%v, uninterrupted n=%d mix=%v",
+				c.label(), got.n, got.mix, ref.n, ref.mix)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -119,12 +118,6 @@ func (r *cellResult) execSupervised(c Cell) {
 	}
 }
 
-// cancelErr reports whether err is a run-interruption artifact (context
-// cancellation or deadline) rather than a property of the cell.
-func cancelErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // CellState classifies how one unique cell of a supervised sweep ended.
 type CellState uint8
 
@@ -137,10 +130,6 @@ const (
 	CellPanicked
 	// CellTimedOut: execution exceeded the wall-clock deadline.
 	CellTimedOut
-	// CellCancelled: execution started but was interrupted at a cooperative
-	// cancellation point; nothing durable was produced and a resumed sweep
-	// re-executes the cell.
-	CellCancelled
 	// CellSkipped: never dispatched — the sweep was cancelled first.
 	CellSkipped
 )
@@ -155,8 +144,6 @@ func (s CellState) String() string {
 		return "panicked"
 	case CellTimedOut:
 		return "timed-out"
-	case CellCancelled:
-		return "cancelled"
 	case CellSkipped:
 		return "skipped"
 	}
@@ -193,25 +180,13 @@ func (o *SweepOutcome) Count(s CellState) int {
 }
 
 // Poisoned returns the cells whose failures are properties of the cell —
-// errors, panics, timeouts — as opposed to interruption artifacts.
+// errors, panics, timeouts — as opposed to cells an interrupted sweep
+// never started.
 func (o *SweepOutcome) Poisoned() []CellOutcome {
 	var p []CellOutcome
 	for _, co := range o.Cells {
 		switch co.State {
 		case CellFailed, CellPanicked, CellTimedOut:
-			p = append(p, co)
-		}
-	}
-	return p
-}
-
-// Outstanding returns the cells a resumed sweep still has to execute:
-// everything that was skipped or interrupted mid-flight.
-func (o *SweepOutcome) Outstanding() []CellOutcome {
-	var p []CellOutcome
-	for _, co := range o.Cells {
-		switch co.State {
-		case CellCancelled, CellSkipped:
 			p = append(p, co)
 		}
 	}
@@ -234,8 +209,6 @@ func classifyCell(r *cellResult) (CellState, error) {
 		return CellPanicked, r.err
 	case errors.As(r.err, &te):
 		return CellTimedOut, r.err
-	case cancelErr(r.err):
-		return CellCancelled, r.err
 	}
 	return CellFailed, r.err
 }

@@ -118,42 +118,20 @@ func TestSweepCancellationAndResume(t *testing.T) {
 	if done, skipped := out.Count(CellDone), out.Count(CellSkipped); done != 2 || skipped != 3 {
 		t.Fatalf("done=%d skipped=%d, want 2/3 (%+v)", done, skipped, out.Cells)
 	}
-	if n := len(out.Outstanding()); n != 3 {
-		t.Fatalf("outstanding = %d, want 3", n)
+	// The cell boundary is the only stopping point: the two dispatched
+	// cells finished, and exactly the three never dispatched are skipped.
+	for i, co := range out.Cells {
+		if want := i >= 2; (co.State == CellSkipped) != want || co.Cell != cells[i] {
+			t.Fatalf("cell %d: %v %s, want skipped=%v", i, co.Cell, co.State, want)
+		}
 	}
-	// Resume under a fresh context: the two completed cells are recalled
-	// from cache (no re-execution), the three outstanding ones run now.
+	// Re-run under a fresh context: the two completed cells are recalled
+	// from cache (no re-execution), the three skipped ones run now.
 	out2 := SweepObservedCtx(context.Background(), cells, nil)
 	if !out2.Clean() || out2.Count(CellDone) != 5 {
 		t.Fatalf("resumed sweep: clean=%v done=%d (%+v)", out2.Clean(), out2.Count(CellDone), out2.Cells)
 	}
 	if got := ran.Load(); got != 5 {
 		t.Fatalf("executions across interrupt+resume = %d, want 5 (no redo)", got)
-	}
-}
-
-func TestCancellationErrorNotCached(t *testing.T) {
-	var calls atomic.Int32
-	withOverride(t, func(c Cell, r *cellResult) bool {
-		if calls.Add(1) == 1 {
-			r.err = context.Canceled // an interval boundary saw the cancelled context
-		} else {
-			r.n = 9
-		}
-		return true
-	})
-	c := phantomCell(1)
-	r1 := getCell(c)
-	if st, _ := classifyCell(r1); st != CellCancelled {
-		t.Fatalf("state = %v, want cancelled (err %v)", st, r1.err)
-	}
-	// The interrupt artifact must not be memoized: the next request
-	// re-executes and succeeds.
-	r2 := getCell(c)
-	if r2.err != nil || r2.n != 9 {
-		t.Fatalf("retried cell: n=%d err=%v", r2.n, r2.err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("calls = %d, want 2", calls.Load())
 	}
 }

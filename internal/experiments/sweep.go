@@ -151,17 +151,6 @@ func getCell(c Cell) *cellResult {
 		r.execSupervised(c)
 		saveCellToStore(c, r)
 	})
-	// A cancellation error is an artifact of this run's interruption, not a
-	// property of the cell: drop the slot from the memo cache so a later
-	// sweep in the same process (or a resumed run) re-executes the cell
-	// instead of replaying the stale interrupt.
-	if r.err != nil && cancelErr(r.err) {
-		runMu.Lock()
-		if runCache[k] == r {
-			delete(runCache, k)
-		}
-		runMu.Unlock()
-	}
 	return r
 }
 
@@ -265,14 +254,13 @@ func SweepObserved(cells []Cell, progress SweepProgress) {
 }
 
 // SweepObservedCtx is the supervised sweep: SweepObserved under a context.
-// Cancelling ctx stops the sweep at the next cooperative boundary — no new
-// cell is dispatched, and the interval sampler stops between windows —
-// while cells already inside the engine's cycle loop finish and land
-// normally, so every completed cell is exact and storable. The returned
-// outcome reports every unique cell's fate: done, failed, panicked, timed
-// out, cancelled mid-flight, or never started. A cancelled sweep's
-// partial outcome is the input to checkpoint assembly; re-running the
-// same grid resumes from whatever the store and cache already hold.
+// Cancelling ctx stops the sweep at the cell boundary — no new cell is
+// dispatched — while cells already running finish and land normally, so
+// every completed cell is exact and storable. The returned outcome
+// reports every unique cell's fate: done, failed, panicked, timed out, or
+// never started. Running the same grid again resumes an interrupted
+// sweep: finished cells hit the cache or the persistent store, and only
+// the skipped ones execute.
 func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress) *SweepOutcome {
 	if ctx == nil {
 		ctx = context.Background()
@@ -282,9 +270,6 @@ func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress)
 	// target makes the collector chase it with frequent cycles that eat
 	// measurable wall time on a single-CPU host.
 	defer debug.SetGCPercent(debug.SetGCPercent(300))
-	// Install the run context for the harness's cooperative cancellation
-	// points; restore whatever was there so nested sweeps compose.
-	defer harness.SetRunContext(harness.SetRunContext(ctx))
 	seen := make(map[string]bool, len(cells))
 	uniq := cells[:0:0]
 	for _, c := range cells {

@@ -133,10 +133,6 @@ func TimeKernelSampled(cipher string, feat isa.Feature, cfg ooo.Config, sessionB
 	sum := &ooo.Stats{Config: cfg.Name}
 	cpis := make([]float64, 0, k)
 	for i := 0; i < k; i++ {
-		// Interval boundary: a cancelled run stops before its next window.
-		if err := Cancelled(); err != nil {
-			return nil, nil, err
-		}
 		isp := metrics.NoSpan
 		if tl != nil {
 			isp = tl.Begin("interval", "interval "+cfg.Name)

@@ -10,10 +10,11 @@ import (
 )
 
 // Signal-driven shutdown for the long-running commands. The first
-// SIGINT/SIGTERM cancels the run context — the supervised sweep winds down
-// at its cooperative boundaries, the caller checkpoints and flushes, and
-// the process exits with ExitInterrupt. A second signal means the user is
-// done waiting: the force callback runs (typically os.Exit(ExitForced))
+// SIGINT/SIGTERM cancels the run context — the supervised sweep dispatches
+// no further cell and lets the running ones finish, the caller flushes,
+// and the process exits with ExitInterrupt; running the same command
+// again resumes from the persistent store. A second signal means the user
+// is done waiting: the force callback runs (typically os.Exit(ExitForced))
 // without any further cleanup.
 
 // Process exit codes shared by the commands. 130 follows the shell

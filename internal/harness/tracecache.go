@@ -263,11 +263,14 @@ var recordMaxInsts uint64
 // result.
 func (e *traceEntry) record(k traceKey) {
 	tl := CurrentTimeline()
+	// The storeload span covers the lookup itself — read, sum check,
+	// decode and Validate — so a store miss shows as a short span before
+	// record.
+	sp := metrics.NoSpan
+	if tl != nil && CurrentStore() != nil {
+		sp = tl.Begin("storeload", "store load "+k.cipher+"/"+k.feat.String())
+	}
 	if tr, codeLen, ok := loadTraceFromStore(k); ok {
-		sp := metrics.NoSpan
-		if tl != nil {
-			sp = tl.Begin("storeload", "store load "+k.cipher+"/"+k.feat.String())
-		}
 		traces.mu.Lock()
 		e.tr, e.codeLen, e.fromStore = tr, codeLen, true
 		traces.bytes += tr.Bytes()
@@ -276,7 +279,7 @@ func (e *traceEntry) record(k traceKey) {
 		tl.End(sp)
 		return
 	}
-	sp := metrics.NoSpan
+	tl.End(sp)
 	if tl != nil {
 		sp = tl.Begin("record", "record "+k.cipher+"/"+k.feat.String())
 	}

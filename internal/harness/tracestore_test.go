@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"os"
 	"testing"
+	"time"
 
 	"cryptoarch/internal/check"
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/metrics"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/store"
 )
@@ -231,6 +233,48 @@ func TestStoreCorruptionReRecord(t *testing.T) {
 	}
 	if cs := ReadTraceCacheStats(); cs.Records != 0 {
 		t.Fatalf("cache stats %+v: healed warm run paid a recording", cs)
+	}
+}
+
+// TestStoreLoadSpanCoversRead pins what a "storeload" span times: the
+// whole fault-in of a trace from the store, the disk read and sum check
+// included. Four warm 4 KB traces are faulted in under a timeline, and
+// their storeload spans must add up to at least the store's own load
+// clock (store.load_ns), which times only the read and the sum check.
+func TestStoreLoadSpanCoversRead(t *testing.T) {
+	installTempStore(t)
+	ciphers := []string{"blowfish", "3des", "rijndael", "twofish"}
+	stream := func() {
+		t.Helper()
+		for _, c := range ciphers {
+			if _, _, err := StreamKernel(c, isa.FeatRot, 4096, 12345); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stream()
+	ResetTraceCache() // the entries stay on disk; the counters restart
+	tl := metrics.NewTimeline()
+	defer SetTimeline(SetTimeline(tl))
+	stream()
+
+	st := store.ReadStats()
+	if st.TraceHits != len(ciphers) || st.TraceMisses != 0 {
+		t.Fatalf("store stats %+v: want %d trace hits and no misses", st, len(ciphers))
+	}
+	var spans time.Duration
+	n := 0
+	for _, sp := range tl.Spans() {
+		if sp.Cat == "storeload" {
+			spans += sp.End - sp.Start
+			n++
+		}
+	}
+	if n != len(ciphers) {
+		t.Fatalf("%d storeload spans, want %d", n, len(ciphers))
+	}
+	if spans < st.LoadTime {
+		t.Fatalf("storeload spans total %v, less than the store's load time %v", spans, st.LoadTime)
 	}
 }
 
