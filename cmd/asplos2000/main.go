@@ -271,8 +271,14 @@ func run() int {
 		}
 		outcome := experiments.SweepObservedCtx(ctx, cells, obs)
 		tc := harness.ReadTraceCacheStats()
-		fmt.Fprintf(os.Stderr, "sweep: %d cells, %d workers  (%.1fs; trace cache %d hits, %d misses, %d evictions)\n",
-			len(cells), experiments.Parallelism(), time.Since(start).Seconds(),
+		// The grid repeats cells across experiments; the sweep runs each
+		// unique cell once, and an interrupted one only some of them.
+		swept := fmt.Sprintf("%d cells", len(outcome.Cells))
+		if outcome.Cancelled != nil {
+			swept += fmt.Sprintf(" (%d done)", outcome.Count(experiments.CellDone))
+		}
+		fmt.Fprintf(os.Stderr, "sweep: %s, %d workers  (%.1fs; trace cache %d hits, %d misses, %d evictions)\n",
+			swept, experiments.Parallelism(), time.Since(start).Seconds(),
 			tc.Hits, tc.Misses, tc.Evictions)
 		if harness.CurrentStore() != nil {
 			ss := store.ReadStats()

@@ -214,7 +214,7 @@ func CountKernel(cipher string, feat isa.Feature, sessionBytes int, seed int64) 
 
 // TimeSetup times a cipher's key-setup program.
 func TimeSetup(cipher string, feat isa.Feature, cfg ooo.Config, seed int64) (*ooo.Stats, error) {
-	src, codeLen, err := traces.stream(traceKey{cipher: cipher, feat: feat, seed: seed, mode: modeSetup})
+	src, codeLen, err := StreamSetup(cipher, feat, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -459,6 +459,12 @@ func StreamKernel(cipher string, feat isa.Feature, sessionBytes int, seed int64)
 	return traces.stream(traceKey{cipher: cipher, feat: feat, session: sessionBytes, seed: seed, mode: modeEncrypt})
 }
 
+// StreamSetup is StreamKernel for a cipher's key-setup program, the
+// stream TimeSetup times.
+func StreamSetup(cipher string, feat isa.Feature, seed int64) (ooo.Stream, int, error) {
+	return traces.stream(traceKey{cipher: cipher, feat: feat, seed: seed, mode: modeSetup})
+}
+
 // setupKeyIV derives the deterministic key/IV TimeSetup uses.
 func setupKeyIV(k *kernels.Kernel, seed int64) (key, iv []byte) {
 	rng := rand.New(rand.NewSource(seed))

@@ -9,7 +9,11 @@
 //
 // A zero value for any capacity parameter means "infinite", which is how
 // the dataflow (DF) model and the Figure 5 single-bottleneck experiments
-// are expressed.
+// are expressed. Machines with unbounded issue, functional units, fetch
+// and LSQ and perfect memory (DF, DF+Alias, DF+Branch, DF+Window) are
+// timed by an equivalent one-pass recurrence in program order
+// (progorder.go) instead of cycle by cycle, unless a run observes the
+// pipeline.
 package ooo
 
 import (

@@ -44,7 +44,7 @@ type uop struct {
 	sync    bool // SBOXSYNC: invalidates every SBox cache at issue
 	class   isa.Class
 	size    uint8 // memory access size in bytes
-	lat     uint8 // execution latency of a non-memory op
+	lat     uint8 // execution latency; a memory op's under perfect memory
 	table   uint8 // SBOX: architectural table, which names its SBox cache
 }
 
@@ -114,13 +114,19 @@ func decode(code []isa.Inst, cfg *Config) []uop {
 			u.acc = accStore
 		}
 
-		switch op {
-		case isa.OpMULQ, isa.OpUMULH:
+		switch {
+		case op == isa.OpMULQ || op == isa.OpUMULH:
 			u.lat = core.LatMul64
-		case isa.OpMULL:
+		case op == isa.OpMULL:
 			u.lat = core.LatMul32
-		case isa.OpMULMOD:
+		case op == isa.OpMULMOD:
 			u.lat = core.LatMulMod
+		case u.acc == accSbox:
+			u.lat = core.LatSboxCache
+		case u.acc == accSboxDPort:
+			u.lat = core.LatSboxDCache
+		case u.acc == accLoad:
+			u.lat = core.LatLoadAgen + core.LatDCacheAccess
 		default:
 			u.lat = 1
 		}

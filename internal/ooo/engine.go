@@ -314,14 +314,25 @@ func NewEngine(cfg Config, src Stream) *Engine {
 	}
 	e.stats.Config = cfg.Name
 	e.initPools()
+	return e
+}
+
+// initLoop takes the reorder-buffer ring, consumer-node pool and fetch
+// queue the cycle loop runs on. Run calls it only when it enters the loop,
+// so a run timed by the program-order pass (progorder.go) takes none of
+// them; a second call is a no-op.
+func (e *Engine) initLoop() {
+	if e.rob != nil {
+		return
+	}
 	// The ring holds both the fetch queue and the window; size it for the
 	// worst case. An infinite window normally starts small and doubles on
 	// demand, but when the stream knows its length (replay) the ring is
 	// sized once up front, eliminating the growth churn that dominated the
 	// dataflow model's allocation profile.
-	capHint := cfg.WindowSize + e.fetchQueueCap() + 64
-	if inf(cfg.WindowSize) {
-		if ss, ok := src.(SizedStream); ok {
+	capHint := e.cfg.WindowSize + e.fetchQueueCap() + 64
+	if inf(e.cfg.WindowSize) {
+		if ss, ok := e.src.(SizedStream); ok {
 			n := ss.InstCount()
 			if n > maxWindow {
 				n = maxWindow
@@ -332,7 +343,6 @@ func NewEngine(cfg Config, src Stream) *Engine {
 	e.rob = getRing(nextPow2(capHint))
 	e.consPool = getConsPool()
 	e.fetchQ = make([]uint64, nextPow2(e.fetchQueueCap()))
-	return e
 }
 
 // maxWindow bounds "infinite" windows: a quarter-million in-flight
@@ -521,7 +531,20 @@ func (e *Engine) Run() (*Stats, error) {
 	return e.runMetered()
 }
 
+// run times the stream: by the program-order pass when the config and
+// the attached observers allow it, otherwise by the cycle loop. Both
+// return identical Stats and errors.
 func (e *Engine) run() (*Stats, error) {
+	if e.programOrder() {
+		return e.runProgramOrder()
+	}
+	return e.runCycles()
+}
+
+// runCycles is the cycle loop: it steps every pipeline stage once per
+// simulated cycle until the stream has drained.
+func (e *Engine) runCycles() (*Stats, error) {
+	e.initLoop()
 	const idleLimit = 1 << 22
 	var idle uint64
 	for {

@@ -6,6 +6,7 @@ import (
 
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -97,6 +98,13 @@ func TestGoldenEngineStats(t *testing.T) {
 			if got := fmt.Sprintf("%+v", *st); got != want {
 				t.Errorf("%s: Stats diverged from the pre-rewrite engine\n got: %s\nwant: %s", key, got, want)
 			}
+			src, _, err := harness.StreamKernel(run.cipher, run.feat, run.sess, 12345)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ooo.CheckLowerBounds(cfg, src, st); err != nil {
+				t.Errorf("%s: %v", key, err)
+			}
 		}
 	}
 	for _, run := range goldenDecodeRuns {
@@ -114,16 +122,78 @@ func TestGoldenEngineStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st *ooo.Stats
+		var src ooo.Stream
 		if run.sess == 0 {
 			st, err = harness.TimeSetup(run.cipher, run.feat, cfg, 12345)
+			if err == nil {
+				src, _, err = harness.StreamSetup(run.cipher, run.feat, 12345)
+			}
 		} else {
 			st, err = harness.TimeKernel(run.cipher, run.feat, cfg, run.sess, 12345)
+			if err == nil {
+				src, _, err = harness.StreamKernel(run.cipher, run.feat, run.sess, 12345)
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%+v", *st); got != want {
 			t.Errorf("%s: Stats diverged from the per-instruction decoder\n got: %s\nwant: %s", key, got, want)
+		}
+		if err := ooo.CheckLowerBounds(cfg, src, st); err != nil {
+			t.Errorf("%s: %v", key, err)
+		}
+	}
+}
+
+// TestScheduleFreeBounds times every cipher's norot, rot and opt kernels
+// on a 4 KB session at seed 12345 on the four named machines and the six
+// Figure 5 single-bottleneck machines (DF alone under -short), and
+// requires every run to respect the schedule-free lower bounds
+// (ooo.CheckLowerBounds). DF has no limit beyond the dataflow critical
+// path, so its cycle count must equal the span plus the three cycles
+// fetch, dispatch and commit add.
+func TestScheduleFreeBounds(t *testing.T) {
+	cfgs := ooo.Models
+	if !testing.Short() {
+		for _, b := range ooo.Bottlenecks {
+			if b == "All" {
+				continue // FourWide again
+			}
+			cfg, err := ooo.BottleneckConfig(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs = append(cfgs, cfg)
+		}
+	} else {
+		cfgs = []ooo.Config{ooo.Dataflow}
+	}
+	const sess, seed = 4 << 10, 12345
+	for _, cipher := range kernels.Names() {
+		for _, feat := range []isa.Feature{isa.FeatNoRot, isa.FeatRot, isa.FeatOpt} {
+			src, _, err := harness.StreamKernel(cipher, feat, sess, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span := ooo.DataflowSpan(src)
+			for _, cfg := range cfgs {
+				st, err := harness.TimeKernel(cipher, feat, cfg, sess, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s/%v/%d/%s", cipher, feat, sess, cfg.Name)
+				src, _, err := harness.StreamKernel(cipher, feat, sess, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ooo.CheckLowerBounds(cfg, src, st); err != nil {
+					t.Errorf("%s: %v", key, err)
+				}
+				if cfg.Name == ooo.Dataflow.Name && st.Cycles != span+3 {
+					t.Errorf("%s: %d cycles, want the dataflow span %d + 3", key, st.Cycles, span)
+				}
+			}
 		}
 	}
 }

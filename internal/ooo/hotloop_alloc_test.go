@@ -30,6 +30,7 @@ func newSteadyEngine(t *testing.T, cfg Config, warmCycles int) (*Engine, int) {
 	e := NewEngine(cfg, &MachineStream{M: m})
 	e.WarmData(kernels.CtxAddr, k.CtxBytes)
 	e.WarmCode(len(m.Prog.Code))
+	e.initLoop()
 	for i := 0; i < warmCycles; i++ {
 		e.step()
 		e.account()

@@ -271,48 +271,100 @@ func TestCheckedRunCleanAndIdentical(t *testing.T) {
 	}
 }
 
-// TestCycleBudget pins the engine-side runaway guard.
+// budgetMachines are the machines the error-path tests cover: the cycle
+// loop's FourWide, and Dataflow and DF+Window, which Run times with the
+// program-order pass.
+func budgetMachines(t *testing.T) []Config {
+	t.Helper()
+	window, err := BottleneckConfig("Window")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Config{FourWide, Dataflow, window}
+}
+
+// sameRunError times a fresh stream with the cycle loop and fails unless
+// it returns the error err, which Run returned for cfg.
+func sameRunError(t *testing.T, cfg Config, err error, stream func() Stream) {
+	t.Helper()
+	_, loopErr := NewEngine(cfg, stream()).runCycles()
+	if loopErr == nil || err.Error() != loopErr.Error() {
+		t.Fatalf("%s: Run returned %q, the cycle loop %v", cfg.Name, err, loopErr)
+	}
+}
+
+// TestCycleBudget pins the engine-side runaway guard on both timing
+// paths: Run stops with the cycle loop's *check.BudgetError, and stops
+// taking records from the stream once the budget is reached instead of
+// draining it.
 func TestCycleBudget(t *testing.T) {
-	cfg := FourWide
-	cfg.CycleBudget = 500
 	k, err := kernels.Get("blowfish")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := kernels.NewRun(k, isa.FeatRot, make([]byte, 16), make([]byte, 8), make([]byte, 4<<10))
-	if err != nil {
-		t.Fatal(err)
+	machine := func() *emu.Machine {
+		m, _, err := kernels.NewRun(k, isa.FeatRot, make([]byte, 16), make([]byte, 8), make([]byte, 4<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	_, err = NewEngine(cfg, &MachineStream{M: m}).Run()
-	if !check.IsBudget(err) {
-		t.Fatalf("Run returned %v, want a *check.BudgetError", err)
-	}
-	var b *check.BudgetError
-	if !errors.As(err, &b) || b.Resource != "cycles" || b.Limit != 500 {
-		t.Fatalf("budget error fields: %+v", b)
+	for _, cfg := range budgetMachines(t) {
+		t.Run(cfg.Name, func(t *testing.T) {
+			cfg.CycleBudget = 500
+			m := machine()
+			e := NewEngine(cfg, &MachineStream{M: m})
+			_, err := e.Run()
+			if !check.IsBudget(err) {
+				t.Fatalf("Run returned %v, want a *check.BudgetError", err)
+			}
+			var b *check.BudgetError
+			if !errors.As(err, &b) || b.Resource != "cycles" || b.Limit != 500 || b.Used != b.Limit {
+				t.Fatalf("budget error fields: %+v", b)
+			}
+			if m.Halted() {
+				t.Fatalf("Run drained the stream (%d instructions) before reporting the budget", m.Icount)
+			}
+			if e.programOrder() {
+				sameRunError(t, cfg, err, func() Stream { return &MachineStream{M: machine()} })
+			}
+		})
 	}
 }
 
 // TestRunawayStreamFails pins end-to-end propagation of a machine fault
-// through the stream into Run: a kernel that never halts exhausts its
-// instruction budget and the timing run fails with that typed error
-// instead of reporting stats for the silently truncated stream.
+// through the stream into Run on both timing paths: a kernel that never
+// halts exhausts its instruction budget and the timing run fails with
+// that typed error instead of reporting stats for the silently truncated
+// stream.
 func TestRunawayStreamFails(t *testing.T) {
 	b := isa.NewBuilder("runaway", isa.FeatNoRot)
 	b.Label("loop")
 	b.ADDQI(isa.RA0, 1, isa.RA0)
 	b.BR("loop")
-	m := emu.New(b.Build(), simmem.New(0), 0x80000)
-	m.MaxInsts = 20_000
-	_, err := NewEngine(FourWide, &MachineStream{M: m}).Run()
-	if err == nil {
-		t.Fatal("Run succeeded over a budget-faulted stream")
+	prog := b.Build()
+	stream := func() Stream {
+		m := emu.New(prog, simmem.New(0), 0x80000)
+		m.MaxInsts = 20_000
+		return &MachineStream{M: m}
 	}
-	if !check.IsBudget(err) {
-		t.Fatalf("Run returned %v, want it to wrap the *check.BudgetError", err)
-	}
-	if !strings.Contains(err.Error(), "source stream") {
-		t.Fatalf("error %q does not attribute the fault to the source stream", err)
+	for _, cfg := range budgetMachines(t) {
+		t.Run(cfg.Name, func(t *testing.T) {
+			e := NewEngine(cfg, stream())
+			_, err := e.Run()
+			if err == nil {
+				t.Fatal("Run succeeded over a budget-faulted stream")
+			}
+			if !check.IsBudget(err) {
+				t.Fatalf("Run returned %v, want it to wrap the *check.BudgetError", err)
+			}
+			if !strings.Contains(err.Error(), "source stream") {
+				t.Fatalf("error %q does not attribute the fault to the source stream", err)
+			}
+			if e.programOrder() {
+				sameRunError(t, cfg, err, stream)
+			}
+		})
 	}
 }
 
