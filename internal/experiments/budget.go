@@ -62,10 +62,19 @@ func ApproxCellCount() int64 { return approxCells.Load() }
 // timeKernelCell executes a CellKernel cell, honoring the installed
 // budget. The returned stats are exact when the budget is nil (or the
 // harness fell back); otherwise they carry the mode's documented error
-// semantics.
-func timeKernelCell(c Cell) (*ooo.Stats, error) {
+// semantics. An exact live cell runs its session on a live machine, with
+// Stats identical to a replay's; sampling needs the recorded trace's
+// windows, so under BudgetSampled every cell records.
+func timeKernelCell(c Cell, live bool) (*ooo.Stats, error) {
 	b := cellBudget.Load()
 	if b == nil || b.Mode != BudgetSampled {
+		if live {
+			w, err := harness.NewWorkload(c.Cipher, c.Session, c.Seed)
+			if err != nil {
+				return nil, err
+			}
+			return harness.TimeWorkload(w, c.Feat, c.Cfg)
+		}
 		return harness.TimeKernel(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
 	}
 	st, rep, err := harness.TimeKernelSampled(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed,

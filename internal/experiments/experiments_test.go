@@ -43,6 +43,13 @@ func TestTable2Content(t *testing.T) {
 			t.Errorf("Table 2 missing %q", want)
 		}
 	}
+	// 4W has no SBox caches: decode sends every SBOX to a D-cache port,
+	// so the row must say 0, not the "inf" of an unbounded capacity.
+	for _, row := range r.Rows {
+		if row[0] == "SBox caches" && row[1] != "0" {
+			t.Errorf("Table 2 SBox caches on 4W = %q, want 0", row[1])
+		}
+	}
 }
 
 func TestReportRendering(t *testing.T) {

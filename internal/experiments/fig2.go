@@ -55,7 +55,7 @@ func measureHandshake() (uint64, error) {
 // HandshakeCycles returns (running at most once per cache generation) the
 // Figure 2 handshake cost.
 func HandshakeCycles() (uint64, error) {
-	r := getCell(Cell{Kind: CellHandshake})
+	r := getCell(Cell{Kind: CellHandshake}, false)
 	return r.n, r.err
 }
 

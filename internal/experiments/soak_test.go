@@ -134,7 +134,7 @@ func TestSweepInterruptionSoak(t *testing.T) {
 	}
 	soaked := make([]*cellResult, len(cells))
 	for i, c := range cells {
-		soaked[i] = getCell(c)
+		soaked[i] = getCell(c, false)
 	}
 
 	// Reference: the same grid swept once, uninterrupted, in a fresh store.
@@ -148,7 +148,7 @@ func TestSweepInterruptionSoak(t *testing.T) {
 		t.Fatalf("reference run not clean: %+v", out)
 	}
 	for i, c := range cells {
-		ref, got := getCell(c), soaked[i]
+		ref, got := getCell(c, false), soaked[i]
 		if ref.n == 0 && ref.mix.total == 0 {
 			t.Fatalf("%s: uninterrupted run measured nothing", c.label())
 		}

@@ -139,7 +139,7 @@ func TestStoreBudgetBypass(t *testing.T) {
 	c := Cell{Kind: CellKernel, Cipher: "rc4", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 1024, Seed: DefaultSeed}
 
 	// Populate the store with the exact result.
-	if r := getCell(c); r.err != nil {
+	if r := getCell(c, false); r.err != nil {
 		t.Fatal(r.err)
 	}
 	if st := store.ReadStats(); st.Writes == 0 {
@@ -152,7 +152,7 @@ func TestStoreBudgetBypass(t *testing.T) {
 	defer SetCellBudget(SetCellBudget(&CellBudget{Mode: BudgetSampled, SampleIntervals: 2, SampleIntervalInsts: 1024, WarmupInsts: 1024}))
 	ResetCache()
 	before := ApproxCellCount()
-	r := getCell(c)
+	r := getCell(c, false)
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -171,7 +171,7 @@ func TestStoreBudgetBypass(t *testing.T) {
 func TestErroredCellsNotStored(t *testing.T) {
 	installTempStore(t)
 	c := Cell{Kind: CellKernel, Cipher: "blowfish", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: -1, Seed: DefaultSeed}
-	if r := getCell(c); r.err == nil {
+	if r := getCell(c, false); r.err == nil {
 		t.Fatal("negative session did not error")
 	}
 	if st := store.ReadStats(); st.Writes != 0 {

@@ -99,7 +99,7 @@ func (r *cellResult) execSupervised(c Cell) {
 		r.execRecovered(c)
 		return
 	}
-	tmp := &cellResult{}
+	tmp := &cellResult{live: r.live}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

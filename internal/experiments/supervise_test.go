@@ -59,12 +59,12 @@ func TestSweepPanicIsolation(t *testing.T) {
 		t.Fatalf("panic error captured no stack: %q", pe.Stack)
 	}
 	// The panic resurfaces deterministically wherever the cell is consumed.
-	r := getCell(cells[1])
+	r := getCell(cells[1], false)
 	if !errors.As(r.err, &pe) {
 		t.Fatalf("cached cell error = %v, want the recovered panic", r.err)
 	}
 	// The healthy cells were unharmed.
-	if r := getCell(cells[2]); r.err != nil || r.n != 3 {
+	if r := getCell(cells[2], false); r.err != nil || r.n != 3 {
 		t.Fatalf("neighbour cell: n=%d err=%v", r.n, r.err)
 	}
 }

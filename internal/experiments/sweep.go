@@ -97,12 +97,17 @@ type cellResult struct {
 	mix   opMix      // mix
 	vp    vpRow      // valuepred
 	err   error
+
+	// live marks a kernel cell whose session no other cell of its sweep
+	// streams: it runs on a live machine instead of recording a trace
+	// that nothing would replay. Set by the first request, inside once.
+	live bool
 }
 
 func (r *cellResult) exec(c Cell) {
 	switch c.Kind {
 	case CellKernel:
-		r.stats, r.err = timeKernelCell(c)
+		r.stats, r.err = timeKernelCell(c, r.live)
 	case CellSetup:
 		r.stats, r.err = harness.TimeSetup(c.Cipher, c.Feat, c.Cfg, c.Seed)
 	case CellDecrypt:
@@ -135,7 +140,9 @@ var (
 // With a persistent store installed, the singleflight body consults the
 // result tier before executing and write-through persists what it
 // executed, so a warm process re-simulates only cells the store missed.
-func getCell(c Cell) *cellResult {
+// live is the sweep's single-use decision for a kernel cell (see
+// cellResult.live); it takes effect only if this request executes c.
+func getCell(c Cell, live bool) *cellResult {
 	k := c.key()
 	runMu.Lock()
 	r := runCache[k]
@@ -148,6 +155,7 @@ func getCell(c Cell) *cellResult {
 		if loadCellFromStore(c, r) {
 			return
 		}
+		r.live = live
 		r.execSupervised(c)
 		saveCellToStore(c, r)
 	})
@@ -278,6 +286,7 @@ func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress)
 			uniq = append(uniq, c)
 		}
 	}
+	live := singleUse(uniq)
 	// One effective worker takes the serial path: no channel, no
 	// goroutines, no scheduler handoffs — measurably cheaper on a
 	// single-CPU host than a one-worker pool.
@@ -323,7 +332,7 @@ func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress)
 	runOne := func(idx int, c Cell) time.Duration {
 		start := time.Now()
 		sp := tl.BeginOn(sweepSpan, "cell", c.label())
-		r := getCell(c)
+		r := getCell(c, live[idx])
 		tl.End(sp)
 		d := time.Since(start)
 		st, err := classifyCell(r)
@@ -389,41 +398,74 @@ dispatch:
 	return wrapUp()
 }
 
+// sessionKey names the encryption stream a Kernel, Count or Mix cell
+// consumes: the trace-cache key those cells share.
+type sessionKey struct {
+	cipher string
+	feat   isa.Feature
+	bytes  int
+	seed   int64
+}
+
+// singleUse reports, for each unique cell, whether it is a kernel cell
+// whose encryption session no other cell of the grid streams. The trace
+// cache records a session so that its second and later streams replay it;
+// a session streamed once gains nothing from the recording — its records
+// are cloned, retained, evicted and written to the store for no replay —
+// so that cell runs on a live machine. Value-prediction cells always run
+// live and decrypt and setup cells stream other programs, so none of them
+// count.
+func singleUse(uniq []Cell) []bool {
+	key := func(c Cell) sessionKey { return sessionKey{c.Cipher, c.Feat, c.Session, c.Seed} }
+	streams := map[sessionKey]int{}
+	for _, c := range uniq {
+		switch c.Kind {
+		case CellKernel, CellCount, CellMix:
+			streams[key(c)]++
+		}
+	}
+	live := make([]bool, len(uniq))
+	for i, c := range uniq {
+		live[i] = c.Kind == CellKernel && streams[key(c)] == 1
+	}
+	return live
+}
+
 // Cached accessors used by the report generators. Each resolves through
 // the cell cache, so a prior Sweep makes assembly a pure lookup.
 
 // timed runs (or recalls) one kernel session measurement.
 func timed(cipher string, feat isa.Feature, cfg ooo.Config, session int, seed int64) (*ooo.Stats, error) {
-	r := getCell(Cell{Kind: CellKernel, Cipher: cipher, Feat: feat, Cfg: cfg, Session: session, Seed: seed})
+	r := getCell(Cell{Kind: CellKernel, Cipher: cipher, Feat: feat, Cfg: cfg, Session: session, Seed: seed}, false)
 	return r.stats, r.err
 }
 
 // timedSetup runs (or recalls) one key-setup measurement.
 func timedSetup(cipher string, feat isa.Feature, cfg ooo.Config, seed int64) (*ooo.Stats, error) {
-	r := getCell(Cell{Kind: CellSetup, Cipher: cipher, Feat: feat, Cfg: cfg, Seed: seed})
+	r := getCell(Cell{Kind: CellSetup, Cipher: cipher, Feat: feat, Cfg: cfg, Seed: seed}, false)
 	return r.stats, r.err
 }
 
 // timedDecrypt runs (or recalls) one decryption session measurement.
 func timedDecrypt(cipher string, feat isa.Feature, cfg ooo.Config, session int, seed int64) (*ooo.Stats, error) {
-	r := getCell(Cell{Kind: CellDecrypt, Cipher: cipher, Feat: feat, Cfg: cfg, Session: session, Seed: seed})
+	r := getCell(Cell{Kind: CellDecrypt, Cipher: cipher, Feat: feat, Cfg: cfg, Session: session, Seed: seed}, false)
 	return r.stats, r.err
 }
 
 // counted runs (or recalls) one committed-instruction count.
 func counted(cipher string, feat isa.Feature, session int, seed int64) (uint64, error) {
-	r := getCell(Cell{Kind: CellCount, Cipher: cipher, Feat: feat, Session: session, Seed: seed})
+	r := getCell(Cell{Kind: CellCount, Cipher: cipher, Feat: feat, Session: session, Seed: seed}, false)
 	return r.n, r.err
 }
 
 // mixFor runs (or recalls) one instruction-class-mix measurement.
 func mixFor(cipher string, feat isa.Feature, session int, seed int64) (opMix, error) {
-	r := getCell(Cell{Kind: CellMix, Cipher: cipher, Feat: feat, Session: session, Seed: seed})
+	r := getCell(Cell{Kind: CellMix, Cipher: cipher, Feat: feat, Session: session, Seed: seed}, false)
 	return r.mix, r.err
 }
 
 // valuePredFor runs (or recalls) one value-predictability measurement.
 func valuePredFor(cipher string, feat isa.Feature, session int, seed int64) (vpRow, error) {
-	r := getCell(Cell{Kind: CellValuePred, Cipher: cipher, Feat: feat, Session: session, Seed: seed})
+	r := getCell(Cell{Kind: CellValuePred, Cipher: cipher, Feat: feat, Session: session, Seed: seed}, false)
 	return r.vp, r.err
 }

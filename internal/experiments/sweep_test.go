@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
+	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/ooo"
 )
@@ -36,10 +38,59 @@ func TestTimedCacheKeyIncludesSeed(t *testing.T) {
 func TestSweepDedup(t *testing.T) {
 	c := Cell{Kind: CellKernel, Cipher: "rc4", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 1024, Seed: DefaultSeed}
 	Sweep([]Cell{c, c, c})
-	r1 := getCell(c)
-	r2 := getCell(c)
+	r1 := getCell(c, false)
+	r2 := getCell(c, false)
 	if r1 != r2 || r1.err != nil {
 		t.Fatalf("duplicate cells not coalesced: %p vs %p (err %v)", r1, r2, r1.err)
+	}
+}
+
+// TestSweepRecordsOnlySharedSessions pins the sweep's single-use rule. A
+// session two kernel cells time (blowfish/rot/1024 on 4W and DF) is
+// recorded once and replayed; a session one kernel cell times
+// (rc4/rot/256 on 4W) runs on a live machine and records nothing. Every
+// cell's Stats equal the recording path's. Under a sampled budget, which
+// reads windows of the recorded trace, the single-use session records.
+func TestSweepRecordsOnlySharedSessions(t *testing.T) {
+	shared := Cell{Kind: CellKernel, Cipher: "blowfish", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 1024, Seed: DefaultSeed}
+	sharedDF := shared
+	sharedDF.Cfg = ooo.Dataflow
+	single := Cell{Kind: CellKernel, Cipher: "rc4", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 256, Seed: DefaultSeed}
+	cells := []Cell{shared, sharedDF, single}
+	if got, want := fmt.Sprint(singleUse(cells)), "[false false true]"; got != want {
+		t.Fatalf("singleUse = %s, want %s", got, want)
+	}
+
+	defer ResetCache()
+	ResetCache()
+	Sweep(cells)
+	if st := harness.ReadTraceCacheStats(); st.Records != 1 {
+		t.Fatalf("sweep recorded %d traces, want 1 (the shared session): %+v", st.Records, st)
+	}
+	swept := make([]string, len(cells))
+	for i, c := range cells {
+		r := getCell(c, false)
+		if r.err != nil {
+			t.Fatalf("%v: %v", c, r.err)
+		}
+		swept[i] = fmt.Sprintf("%+v", *r.stats)
+	}
+	ResetCache()
+	for i, c := range cells {
+		st, err := harness.TimeKernel(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		if got := fmt.Sprintf("%+v", *st); got != swept[i] {
+			t.Errorf("%v: swept Stats differ from the recording path's\nswept    %s\nrecorded %s", c, swept[i], got)
+		}
+	}
+
+	defer SetCellBudget(SetCellBudget(&CellBudget{Mode: BudgetSampled}))
+	ResetCache()
+	Sweep([]Cell{single})
+	if st := harness.ReadTraceCacheStats(); st.Records != 1 {
+		t.Fatalf("sampled sweep of the single-use session recorded %d traces, want 1", st.Records)
 	}
 }
 
@@ -84,7 +135,7 @@ func TestSweepSerialFallback(t *testing.T) {
 		t.Errorf("1 unique cell: sweep used %d workers, want serial path (1)", lastSweepWorkers)
 	}
 
-	if r := getCell(c); r.err != nil || r.n == 0 {
+	if r := getCell(c, false); r.err != nil || r.n == 0 {
 		t.Fatalf("serial-path sweep did not execute the cell: n=%d err=%v", r.n, r.err)
 	}
 }

@@ -58,7 +58,9 @@ func Table2() (*Report, error) {
 	add("Integer ALUs", func(c ooo.Config) string { return num(c.NumIALU) })
 	add("Multiplier lanes (32-bit)", func(c ooo.Config) string { return num(c.MulLanes) })
 	add("D-cache ports", func(c ooo.Config) string { return num(c.DCachePorts) })
-	add("SBox caches", func(c ooo.Config) string { return num(c.NumSboxCaches) })
+	// Unlike the capacities above, no SBox caches means none: decode sends
+	// every SBOX to a D-cache port.
+	add("SBox caches", func(c ooo.Config) string { return fmt.Sprint(c.NumSboxCaches) })
 	add("SBox cache ports", func(c ooo.Config) string {
 		if c.NumSboxCaches == 0 {
 			return "-"

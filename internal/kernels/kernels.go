@@ -133,10 +133,11 @@ func Names() []string {
 	return out
 }
 
-// runArena returns a memory arena sized to the kernel layout for a
+// runArena returns a memory arena bounded by the kernel layout for a
 // session of n bytes: everything below the output buffer, the output, and
-// a 4 KB tail. No kernel touches memory past that, so a larger arena would
-// only be zero-filled for nothing, and an access past it fails the run.
+// a 4 KB tail. The size is a bound, not an allocation: no kernel touches
+// memory past it, so an access past it fails the run, and the run holds
+// only the pages it writes (context, literals, input and output).
 func runArena(n int) *simmem.Mem {
 	return simmem.New(int(OutAddr-simmem.Base) + n + 4096)
 }

@@ -105,6 +105,15 @@ func newMemSystem() *memSystem {
 	}
 }
 
+// misses returns the miss counters. A nil hierarchy is a perfect-memory
+// machine's, which never misses.
+func (m *memSystem) misses() (dl1, l2, tlb uint64) {
+	if m == nil {
+		return 0, 0, 0
+	}
+	return m.DL1Miss, m.L2Miss, m.TLBMiss
+}
+
 // busAcquire serializes main-memory requests (10-cycle occupancy each) and
 // returns the added queueing delay.
 func (m *memSystem) busAcquire(now uint64) uint64 {

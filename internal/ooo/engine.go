@@ -182,7 +182,7 @@ type Engine struct {
 	src  Stream
 	code []isa.Inst // src.Program().Code, for tracer events
 	uops []uop      // per-PC micro-op table (decode.go)
-	mem  *memSystem
+	mem  *memSystem // nil under PerfectMem
 	bp   *bpred
 
 	stats Stats
@@ -304,7 +304,6 @@ func NewEngine(cfg Config, src Stream) *Engine {
 		src:             src,
 		code:            code,
 		uops:            decode(code, &cfg),
-		mem:             newMemSystem(),
 		bp:              newBpred(),
 		storeIssued:     make([]bool, 256),
 		lastStoreByte:   newAliasMap(),
@@ -313,6 +312,11 @@ func NewEngine(cfg Config, src Stream) *Engine {
 		warmupSeq:       noSeq,
 	}
 	e.stats.Config = cfg.Name
+	// Under perfect memory no access consults the hierarchy, so the engine
+	// builds none: ~310 KB of cache and TLB arrays per run.
+	if !cfg.PerfectMem {
+		e.mem = newMemSystem()
+	}
 	e.initPools()
 	return e
 }
@@ -497,8 +501,12 @@ func (e *Engine) growStoreRing() {
 // WarmData pre-fills the data-cache hierarchy and TLB for a region, as if
 // the key-setup code (which writes the whole cipher context) had just run.
 // Without this, one-time compulsory misses on the S-box tables would
-// dominate short sessions, which is not what the paper measures.
+// dominate short sessions, which is not what the paper measures. Under
+// perfect memory there is nothing to warm.
 func (e *Engine) WarmData(addr uint64, n int) {
+	if e.mem == nil {
+		return
+	}
 	end := addr + uint64(n)
 	for a := addr &^ ((1 << blockShift) - 1); a < end; a += 1 << blockShift {
 		e.mem.dl1.lookup(a, true)
@@ -512,8 +520,11 @@ func (e *Engine) WarmData(addr uint64, n int) {
 // WarmCode pre-fills the instruction cache for a program of n
 // instructions, as if the kernel had already run (key setup and the
 // session-establishment path execute this code before the measured
-// session).
+// session). Under perfect memory there is nothing to warm.
 func (e *Engine) WarmCode(n int) {
+	if e.mem == nil {
+		return
+	}
 	end := CodeBase + uint64(n)*4
 	for a := uint64(CodeBase); a < end; a += 1 << blockShift {
 		e.mem.il1.lookup(a, true)
@@ -596,9 +607,7 @@ func (e *Engine) runCycles() (*Stats, error) {
 		}
 	}
 	e.stats.Cycles = e.cycle
-	e.stats.DL1Misses = e.mem.DL1Miss
-	e.stats.L2Misses = e.mem.L2Miss
-	e.stats.TLBMisses = e.mem.TLBMiss
+	e.stats.DL1Misses, e.stats.L2Misses, e.stats.TLBMisses = e.mem.misses()
 	// Discard the warmup epoch, if one was armed and closed. This happens
 	// after the final invariant check: checked mode validates cumulative
 	// counters, and the delta preserves the slot identity on its own.

@@ -183,9 +183,7 @@ func (e *Engine) runProgramOrder() (*Stats, error) {
 	}
 	st.Cycles = cycles
 	st.Instructions = i
-	st.DL1Misses = e.mem.DL1Miss
-	st.L2Misses = e.mem.L2Miss
-	st.TLBMisses = e.mem.TLBMiss
+	st.DL1Misses, st.L2Misses, st.TLBMisses = e.mem.misses()
 	out := e.stats
 	return &out, nil
 }

@@ -64,9 +64,7 @@ func (e *Engine) beginMeasure(seq uint64) {
 	e.warmupBase = e.stats
 	// run() copies the memory-system totals into stats only at the end;
 	// copy them live here.
-	e.warmupBase.DL1Misses = e.mem.DL1Miss
-	e.warmupBase.L2Misses = e.mem.L2Miss
-	e.warmupBase.TLBMisses = e.mem.TLBMiss
+	e.warmupBase.DL1Misses, e.warmupBase.L2Misses, e.warmupBase.TLBMisses = e.mem.misses()
 	e.warmupBaseSet = true
 	e.warmupSeq = seq
 	if e.profPCs != nil {
