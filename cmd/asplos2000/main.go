@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"cryptoarch/internal/experiments"
@@ -82,22 +81,11 @@ var expectations = map[string]string{
 		"Check each of these shapes.",
 }
 
-// sweepProgressView is the JSON served at /progress while the parallel
-// sweep runs: how far along the grid is and what cell just finished.
-// It is read-only observability — the HTTP surface never steers a run.
-type sweepProgressView struct {
-	Done            int     `json:"done"`
-	Total           int     `json:"total"`
-	LastCell        string  `json:"last_cell,omitempty"`
-	LastCellSeconds float64 `json:"last_cell_seconds,omitempty"`
-}
-
 func main() { os.Exit(run()) }
 
 func run() int {
 	write := flag.Bool("write", false, "rewrite EXPERIMENTS.md")
 	asJSON := flag.Bool("json", false, "emit all reports as one JSON array instead of text")
-	parallel := flag.Bool("parallel", true, "prefetch the full experiment grid across all CPUs before assembling reports")
 	progress := flag.Bool("progress", false, "print per-cell sweep progress to stderr (cell, wall time, trace-cache hits/misses, ETA)")
 	profile := flag.Bool("profile", false, "append the per-PC hot-spot report (top PCs per cipher/variant/model)")
 	profileTop := flag.Int("profile-top", 5, "hot PCs per cell in the -profile report")
@@ -107,9 +95,6 @@ func run() int {
 	storeDir := flag.String("store-dir", ".simstore", "persistent content-addressed store directory (traces + cell results across invocations)")
 	storeBudget := flag.Int64("store-budget", 2<<30, "persistent store byte budget (LRU-evicted)")
 	noStore := flag.Bool("no-store", false, "disable the persistent store for this invocation")
-	traceBudget := flag.Int("trace-budget", 0, "in-memory trace-cache byte budget (0 = keep the default, 192 MiB)")
-	metricsAddr := flag.String("metrics-addr", "", "serve read-only telemetry over HTTP on this address (e.g. 127.0.0.1:8088; empty = off): /metrics is the live registry snapshot, /progress the per-cell sweep position")
-	cellDeadline := flag.Duration("cell-deadline", 0, "per-cell wall-clock watchdog (0 = off); a cell running longer is abandoned and reported as timed out")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to this file (read it with go tool pprof); an interrupted run still writes it")
 	flag.Parse()
 
@@ -124,9 +109,6 @@ func run() int {
 		}
 	}()
 
-	harness.SetTraceBudget(*traceBudget)
-	experiments.SetCellDeadline(*cellDeadline)
-
 	// First SIGINT/SIGTERM cancels the run context: the sweep dispatches no
 	// further cell, the running ones finish and land in the store, and the
 	// run exits 130 through the normal defers. A second signal force-exits
@@ -136,32 +118,6 @@ func run() int {
 		os.Exit(harness.ExitForced)
 	})
 	defer stopSignals()
-
-	// Read-only HTTP observability, off by default. The handler serves
-	// the process metrics registry and the sweep progress view below;
-	// nothing on it mutates simulator state. The endpoint drains and
-	// releases its port on every exit path, interrupt included.
-	var (
-		progMu  sync.Mutex
-		progNow sweepProgressView
-	)
-	if *metricsAddr != "" {
-		msrv, err := metrics.StartMetrics(*metricsAddr, harness.Metrics(), func() any {
-			progMu.Lock()
-			defer progMu.Unlock()
-			return progNow
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asplos2000:", err)
-			return harness.ExitError
-		}
-		fmt.Fprintf(os.Stderr, "metrics: read-only telemetry on http://%s (/metrics, /progress)\n", msrv.Addr())
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			msrv.Shutdown(sctx)
-		}()
-	}
 
 	// Validate the -diff spec before any simulation happens, and collect
 	// the extra cells its report will consume so the sweep prefetches them.
@@ -240,72 +196,59 @@ func run() int {
 
 	cells := append(experiments.AllCells(), diffCells...)
 
-	poisoned := 0
-	if *parallel {
-		// Execute every experiment's declared grid across GOMAXPROCS
-		// workers; assembly below then reads cache hits. Report bytes are
-		// identical either way — only the wall clock changes.
-		start := time.Now()
-		var obs experiments.SweepProgress
-		if *progress {
-			obs = func(done, total int, c experiments.Cell, d time.Duration) {
-				tc := harness.ReadTraceCacheStats()
-				eta := time.Duration(0)
-				if done > 0 {
-					eta = time.Since(start) / time.Duration(done) * time.Duration(total-done)
-				}
-				fmt.Fprintf(os.Stderr, "[%3d/%3d] %-40s %7.1fms  tc %d hit/%d miss  eta %s\n",
-					done, total, c, 1e3*d.Seconds(), tc.Hits, tc.Misses, eta.Round(time.Second))
+	// Execute every experiment's declared grid across GOMAXPROCS workers
+	// (GOMAXPROCS=1 sweeps serially); assembly below then reads cache
+	// hits. Report bytes are identical at any worker count — only the
+	// wall clock changes.
+	start := time.Now()
+	var obs experiments.SweepProgress
+	if *progress {
+		obs = func(done, total int, c experiments.Cell, d time.Duration) {
+			tc := harness.ReadTraceCacheStats()
+			eta := time.Duration(0)
+			if done > 0 {
+				eta = time.Since(start) / time.Duration(done) * time.Duration(total-done)
 			}
+			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-40s %7.1fms  tc %d hit/%d miss  eta %s\n",
+				done, total, c, 1e3*d.Seconds(), tc.Hits, tc.Misses, eta.Round(time.Second))
 		}
-		if *metricsAddr != "" {
-			printObs := obs
-			obs = func(done, total int, c experiments.Cell, d time.Duration) {
-				progMu.Lock()
-				progNow = sweepProgressView{Done: done, Total: total, LastCell: fmt.Sprint(c), LastCellSeconds: d.Seconds()}
-				progMu.Unlock()
-				if printObs != nil {
-					printObs(done, total, c, d)
-				}
-			}
+	}
+	outcome := experiments.SweepObservedCtx(ctx, cells, obs)
+	tc := harness.ReadTraceCacheStats()
+	// The grid repeats cells across experiments; the sweep runs each
+	// unique cell once, and an interrupted one only some of them.
+	swept := fmt.Sprintf("%d cells", len(outcome.Cells))
+	if outcome.Cancelled != nil {
+		swept += fmt.Sprintf(" (%d done)", outcome.Count(experiments.CellDone))
+	}
+	fmt.Fprintf(os.Stderr, "sweep: %s, %d workers  (%.1fs; trace cache %d hits, %d misses, %d evictions)\n",
+		swept, experiments.Parallelism(), time.Since(start).Seconds(),
+		tc.Hits, tc.Misses, tc.Evictions)
+	if harness.CurrentStore() != nil {
+		ss := store.ReadStats()
+		fmt.Fprintf(os.Stderr, "store: trace hits=%d misses=%d result hits=%d misses=%d writes=%d evictions=%d corrupt=%d\n",
+			ss.TraceHits, ss.TraceMisses, ss.ResultHits, ss.ResultMisses, ss.Writes, ss.Evictions, ss.Corrupt)
+	}
+	if s := harness.CurrentStore(); s != nil {
+		if deg, derr := s.Degraded(); deg {
+			fmt.Fprintf(os.Stderr, "store: DEGRADED (%v) — results recomputed without persistence this run\n", derr)
 		}
-		outcome := experiments.SweepObservedCtx(ctx, cells, obs)
-		tc := harness.ReadTraceCacheStats()
-		// The grid repeats cells across experiments; the sweep runs each
-		// unique cell once, and an interrupted one only some of them.
-		swept := fmt.Sprintf("%d cells", len(outcome.Cells))
-		if outcome.Cancelled != nil {
-			swept += fmt.Sprintf(" (%d done)", outcome.Count(experiments.CellDone))
+	}
+	poisoned := outcome.Poisoned()
+	for _, co := range poisoned {
+		fmt.Fprintf(os.Stderr, "sweep: cell %s %s: %v\n", co.Cell, co.State, co.Err)
+		var pe *experiments.CellPanicError
+		if errors.As(co.Err, &pe) {
+			fmt.Fprintf(os.Stderr, "%s\n", pe.Stack)
 		}
-		fmt.Fprintf(os.Stderr, "sweep: %s, %d workers  (%.1fs; trace cache %d hits, %d misses, %d evictions)\n",
-			swept, experiments.Parallelism(), time.Since(start).Seconds(),
-			tc.Hits, tc.Misses, tc.Evictions)
-		if harness.CurrentStore() != nil {
-			ss := store.ReadStats()
-			fmt.Fprintf(os.Stderr, "store: trace hits=%d misses=%d result hits=%d misses=%d writes=%d evictions=%d corrupt=%d\n",
-				ss.TraceHits, ss.TraceMisses, ss.ResultHits, ss.ResultMisses, ss.Writes, ss.Evictions, ss.Corrupt)
-		}
-		if s := harness.CurrentStore(); s != nil {
-			if deg, derr := s.Degraded(); deg {
-				fmt.Fprintf(os.Stderr, "store: DEGRADED (%v) — results recomputed without persistence this run\n", derr)
-			}
-		}
-		for _, co := range outcome.Poisoned() {
-			poisoned++
-			fmt.Fprintf(os.Stderr, "sweep: cell %s %s: %v\n", co.Cell, co.State, co.Err)
-			var pe *experiments.CellPanicError
-			if errors.As(co.Err, &pe) {
-				fmt.Fprintf(os.Stderr, "%s\n", pe.Stack)
-			}
-		}
-		if outcome.Cancelled != nil {
-			// Interrupted: every cell that finished is already durable in
-			// the store under a key naming this tree and cell, so the same
-			// command run again simulates only what is left.
-			fmt.Fprintf(os.Stderr, "asplos2000: interrupted (%v): %d of %d cells done; run the same command again to resume\n",
-				outcome.Cancelled, outcome.Count(experiments.CellDone), len(outcome.Cells))
-			return harness.ExitInterrupt
-		}
+	}
+	if outcome.Cancelled != nil {
+		// Interrupted: every cell that finished is already durable in
+		// the store under a key naming this tree and cell, so the same
+		// command run again simulates only what is left.
+		fmt.Fprintf(os.Stderr, "asplos2000: interrupted (%v): %d of %d cells done; run the same command again to resume\n",
+			outcome.Cancelled, outcome.Count(experiments.CellDone), len(outcome.Cells))
+		return harness.ExitInterrupt
 	}
 
 	var reports []*experiments.Report
@@ -383,11 +326,11 @@ func run() int {
 		}
 		fmt.Println(string(b))
 	}
-	if poisoned > 0 || genFailed > 0 {
+	if len(poisoned) > 0 || genFailed > 0 {
 		if *write {
-			fmt.Fprintf(os.Stderr, "asplos2000: refusing -write: %d poisoned cell(s), %d failed report(s) — EXPERIMENTS.md must come from a clean run\n", poisoned, genFailed)
+			fmt.Fprintf(os.Stderr, "asplos2000: refusing -write: %d poisoned cell(s), %d failed report(s) — EXPERIMENTS.md must come from a clean run\n", len(poisoned), genFailed)
 		} else {
-			fmt.Fprintf(os.Stderr, "asplos2000: completed with damage: %d poisoned cell(s), %d failed report(s)\n", poisoned, genFailed)
+			fmt.Fprintf(os.Stderr, "asplos2000: completed with damage: %d poisoned cell(s), %d failed report(s)\n", len(poisoned), genFailed)
 		}
 		return harness.ExitPoisoned
 	}

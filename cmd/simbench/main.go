@@ -21,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -466,13 +465,11 @@ func run() int {
 	storeDir := flag.String("store-dir", "", "install a persistent store for the whole run (\"\" = none; the store micro-benchmark uses its own temp stores either way)")
 	storeBudget := flag.Int64("store-budget", 2<<30, "persistent store byte budget (LRU-evicted)")
 	noStore := flag.Bool("no-store", false, "skip the store cold/warm micro-benchmark and ignore -store-dir")
-	traceBudget := flag.Int("trace-budget", 0, "in-memory trace-cache byte budget (0 = keep the default, 192 MiB)")
 	check := flag.String("check", "", "baseline JSON to compare against; exit non-zero if finite-model sim-MIPS drops below 50%")
 	ledgerDir := flag.String("ledger", ".simledger", "run-ledger directory (\"\" disables the ledger)")
 	history := flag.Bool("history", false, "don't benchmark; compare the newest ledger record against its rolling baseline and exit non-zero on regression")
 	window := flag.Int("window", 5, "rolling-baseline window for -history (earlier comparable runs averaged)")
 	tol := flag.Float64("tol", 0.30, "relative tolerance for -history (0.30 = flag a >30% move in the bad direction)")
-	metricsAddr := flag.String("metrics-addr", "", "serve read-only telemetry over HTTP on this address (e.g. 127.0.0.1:8088; empty = off): /metrics is the live registry snapshot, /progress the current benchmark phase")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this run to this file (read it with go tool pprof); an interrupted run still writes it")
 	flag.Parse()
 
@@ -491,48 +488,17 @@ func run() int {
 		return runHistory(*ledgerDir, *window, *tol)
 	}
 
-	harness.SetTraceBudget(*traceBudget)
-
 	// First SIGINT/SIGTERM cancels the run: the current phase stops at its
 	// next boundary (the sweep at a cell boundary) and the process exits
-	// 130 through the normal defers (metrics endpoint drained). A second
-	// signal force-exits 131. No partial benchmark record is ever appended
-	// to the ledger: an interrupted measurement would poison the trend
-	// baselines.
+	// 130 through the normal defers. A second signal force-exits 131. No
+	// partial benchmark record is ever appended to the ledger: an
+	// interrupted measurement would poison the trend baselines.
 	ctx, stopSignals := harness.NotifyInterrupt(context.Background(), func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "simbench: %v again — forced exit, skipping cleanup\n", sig)
 		os.Exit(harness.ExitForced)
 	})
 	defer stopSignals()
 
-	// Read-only HTTP observability, off by default: the live metrics
-	// registry plus which benchmark phase is running (a full simbench run
-	// takes minutes; /progress answers "where is it" without interrupting).
-	// The endpoint drains and releases its port on every exit path.
-	var phaseMu sync.Mutex
-	phaseNow := "startup"
-	setPhase := func(p string) {
-		phaseMu.Lock()
-		phaseNow = p
-		phaseMu.Unlock()
-	}
-	if *metricsAddr != "" {
-		msrv, err := metrics.StartMetrics(*metricsAddr, harness.Metrics(), func() any {
-			phaseMu.Lock()
-			defer phaseMu.Unlock()
-			return map[string]string{"phase": phaseNow}
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			return harness.ExitError
-		}
-		fmt.Fprintf(os.Stderr, "metrics: read-only telemetry on http://%s (/metrics, /progress)\n", msrv.Addr())
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			msrv.Shutdown(sctx)
-		}()
-	}
 	if *storeDir != "" && !*noStore {
 		s, err := store.Open(*storeDir, *storeBudget)
 		if err != nil {
@@ -553,7 +519,6 @@ func run() int {
 		Workload:      "blowfish/rot/4096B CBC session, seed 12345",
 		EngineVersion: ooo.EngineVersion,
 	}
-	setPhase("trace-record")
 	rec, err := benchRecord()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
@@ -565,7 +530,6 @@ func run() int {
 		if interrupted() {
 			break
 		}
-		setPhase("model " + cfg.Name)
 		mb, err := benchModel(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simbench:", err)
@@ -579,7 +543,6 @@ func run() int {
 		if interrupted() {
 			break
 		}
-		setPhase("sampled " + cfg.Name)
 		var serial modelBench
 		for _, m := range res.Models {
 			if m.Model == cfg.Name {
@@ -602,7 +565,6 @@ func run() int {
 		res.TraceCache.Hits, res.TraceCache.Misses, res.TraceCache.Records,
 		res.TraceCache.Replays, res.TraceCache.LiveFallbacks)
 	if !*noStore && !interrupted() {
-		setPhase("store")
 		sb, err := benchStore()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simbench:", err)
@@ -615,10 +577,8 @@ func run() int {
 	if !*skipSweep && !interrupted() {
 		res.SweepCells = len(experiments.AllCells())
 		res.SweepWorkers = runtime.GOMAXPROCS(0)
-		setPhase("sweep serial")
 		res.SweepSerialSeconds = timedSweep(ctx, 1)
 		if !interrupted() {
-			setPhase("sweep parallel")
 			res.SweepParallelSeconds = timedSweep(ctx, res.SweepWorkers)
 		}
 		experiments.ResetCache()
@@ -634,7 +594,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "simbench: interrupted (%v); no result written, no ledger record appended\n", ctx.Err())
 		return harness.ExitInterrupt
 	}
-	setPhase("finalize")
 	if *ledgerDir != "" {
 		l, err := metrics.OpenLedger(*ledgerDir)
 		if err != nil {

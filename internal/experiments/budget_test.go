@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -77,7 +78,7 @@ func TestSweepUnderWorkerBudget(t *testing.T) {
 		{Kind: CellCount, Cipher: "rc4", Feat: isa.FeatRot, Session: 512, Seed: DefaultSeed},
 	}
 	ResetCache()
-	Sweep(cells)
+	SweepObservedCtx(context.Background(), cells, nil)
 	if lastSweepWorkers != 4 {
 		t.Fatalf("sweep took %d workers, want 4", lastSweepWorkers)
 	}
@@ -92,7 +93,7 @@ func TestSweepUnderWorkerBudget(t *testing.T) {
 
 	SetParallelism(1)
 	ResetCache()
-	Sweep(cells)
+	SweepObservedCtx(context.Background(), cells, nil)
 	for i, c := range cells[:3] {
 		st, err := timed(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
 		if err != nil {

@@ -35,7 +35,7 @@ func All() []Generator {
 }
 
 // AllCells flattens the declared grids of every experiment, in paper
-// order. Feeding the result to Sweep prefetches the entire suite; the
+// order. Sweeping the result prefetches the entire suite; the
 // generators then assemble their reports from cache hits alone.
 func AllCells() []Cell {
 	var cells []Cell

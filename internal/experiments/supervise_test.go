@@ -7,13 +7,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // Supervision tests run on phantom cells: grid points whose execution is
 // intercepted by the test override before the unknown cipher could error,
-// so forcing a panic, a hang or a cancellation costs microseconds instead
-// of a simulation.
+// so forcing a panic or a cancellation costs microseconds instead of a
+// simulation.
 
 func phantomCell(i int) Cell {
 	return Cell{Kind: CellCount, Cipher: fmt.Sprintf("phantom-%d", i), Session: 1, Seed: int64(i)}
@@ -66,34 +65,6 @@ func TestSweepPanicIsolation(t *testing.T) {
 	// The healthy cells were unharmed.
 	if r := getCell(cells[2], false); r.err != nil || r.n != 3 {
 		t.Fatalf("neighbour cell: n=%d err=%v", r.n, r.err)
-	}
-}
-
-func TestSweepCellTimeout(t *testing.T) {
-	hungReturned := make(chan struct{})
-	withOverride(t, func(c Cell, r *cellResult) bool {
-		if c.Cipher == "phantom-1" {
-			defer close(hungReturned)
-			time.Sleep(300 * time.Millisecond)
-		}
-		r.n = 7
-		return true
-	})
-	// The sweep abandons the hung cell, whose goroutine runs on after the
-	// test body and read execOverride on its way in. Cleanups run last
-	// registered first, so this wait holds withOverride's restore until
-	// that cell has returned.
-	t.Cleanup(func() { <-hungReturned })
-	defer SetCellDeadline(SetCellDeadline(25 * time.Millisecond))
-	out := SweepObservedCtx(context.Background(), []Cell{phantomCell(1), phantomCell(2)}, nil)
-	if timedOut, done := out.Count(CellTimedOut), out.Count(CellDone); timedOut != 1 || done != 1 {
-		t.Fatalf("timed-out=%d done=%d, want 1/1 (%+v)", timedOut, done, out.Cells)
-	}
-	var te *CellTimeoutError
-	if po := out.Poisoned(); len(po) != 1 || !errors.As(po[0].Err, &te) {
-		t.Fatalf("poisoned = %+v, want one CellTimeoutError", po)
-	} else if te.Limit != 25*time.Millisecond {
-		t.Fatalf("timeout limit = %v", te.Limit)
 	}
 }
 

@@ -130,7 +130,7 @@ var (
 	runCache = map[string]*cellResult{}
 	workers  = runtime.GOMAXPROCS(0)
 
-	// lastSweepWorkers records the worker count of the most recent Sweep,
+	// lastSweepWorkers records the worker count of the most recent sweep,
 	// so tests can assert which execution path it took.
 	lastSweepWorkers int
 )
@@ -156,7 +156,7 @@ func getCell(c Cell, live bool) *cellResult {
 			return
 		}
 		r.live = live
-		r.execSupervised(c)
+		r.execRecovered(c)
 		saveCellToStore(c, r)
 	})
 	return r
@@ -216,14 +216,6 @@ func effectiveWorkers(nCells int) int {
 // implementations may print without locking.
 type SweepProgress func(done, total int, c Cell, d time.Duration)
 
-// Sweep executes a grid of cells across the configured worker count.
-// Duplicate cells are executed once; cells already cached cost nothing.
-// Sweep never fails: a cell's error is cached with its slot and
-// resurfaces, deterministically, when a generator assembles the row that
-// consumes it — so report output is identical whether or not a sweep ran
-// first, and regardless of worker count.
-func Sweep(cells []Cell) { SweepObserved(cells, nil) }
-
 // sweepTelemetry bundles the metric handles one sweep updates. Built from
 // a nil registry every handle is nil and every update a no-op, so the
 // scheduler is instrumented unconditionally.
@@ -254,21 +246,22 @@ type queuedCell struct {
 	at  time.Time
 }
 
-// SweepObserved is Sweep with a per-cell progress callback (nil behaves
-// exactly like Sweep). Timing the callback observes is observation only:
-// cell results and report bytes are identical with or without it.
-func SweepObserved(cells []Cell, progress SweepProgress) {
-	SweepObservedCtx(context.Background(), cells, progress)
-}
-
-// SweepObservedCtx is the supervised sweep: SweepObserved under a context.
+// SweepObservedCtx executes a grid of cells across the configured worker
+// count. Duplicate cells are executed once; cells already cached cost
+// nothing. A cell's error is cached with its slot and resurfaces,
+// deterministically, when a generator assembles the row that consumes it
+// — so report output is identical whether or not a sweep ran first, and
+// regardless of worker count. progress, when non-nil, is called once per
+// finished unique cell; it only observes, so cell results and report
+// bytes are identical with or without it.
+//
 // Cancelling ctx stops the sweep at the cell boundary — no new cell is
 // dispatched — while cells already running finish and land normally, so
 // every completed cell is exact and storable. The returned outcome
-// reports every unique cell's fate: done, failed, panicked, timed out, or
-// never started. Running the same grid again resumes an interrupted
-// sweep: finished cells hit the cache or the persistent store, and only
-// the skipped ones execute.
+// reports every unique cell's fate: done, failed, panicked, or never
+// started. Running the same grid again resumes an interrupted sweep:
+// finished cells hit the cache or the persistent store, and only the
+// skipped ones execute.
 func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress) *SweepOutcome {
 	if ctx == nil {
 		ctx = context.Background()
@@ -432,7 +425,7 @@ func singleUse(uniq []Cell) []bool {
 }
 
 // Cached accessors used by the report generators. Each resolves through
-// the cell cache, so a prior Sweep makes assembly a pure lookup.
+// the cell cache, so a prior sweep makes assembly a pure lookup.
 
 // timed runs (or recalls) one kernel session measurement.
 func timed(cipher string, feat isa.Feature, cfg ooo.Config, session int, seed int64) (*ooo.Stats, error) {

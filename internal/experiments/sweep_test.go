@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestTimedCacheKeyIncludesSeed(t *testing.T) {
 // measurement once: every duplicate must resolve to the same result slot.
 func TestSweepDedup(t *testing.T) {
 	c := Cell{Kind: CellKernel, Cipher: "rc4", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 1024, Seed: DefaultSeed}
-	Sweep([]Cell{c, c, c})
+	SweepObservedCtx(context.Background(), []Cell{c, c, c}, nil)
 	r1 := getCell(c, false)
 	r2 := getCell(c, false)
 	if r1 != r2 || r1.err != nil {
@@ -63,7 +64,7 @@ func TestSweepRecordsOnlySharedSessions(t *testing.T) {
 
 	defer ResetCache()
 	ResetCache()
-	Sweep(cells)
+	SweepObservedCtx(context.Background(), cells, nil)
 	if st := harness.ReadTraceCacheStats(); st.Records != 1 {
 		t.Fatalf("sweep recorded %d traces, want 1 (the shared session): %+v", st.Records, st)
 	}
@@ -88,7 +89,7 @@ func TestSweepRecordsOnlySharedSessions(t *testing.T) {
 
 	defer SetCellBudget(SetCellBudget(&CellBudget{Mode: BudgetSampled}))
 	ResetCache()
-	Sweep([]Cell{single})
+	SweepObservedCtx(context.Background(), []Cell{single}, nil)
 	if st := harness.ReadTraceCacheStats(); st.Records != 1 {
 		t.Fatalf("sampled sweep of the single-use session recorded %d traces, want 1", st.Records)
 	}
@@ -123,14 +124,14 @@ func TestSweepSerialFallback(t *testing.T) {
 	c := Cell{Kind: CellCount, Cipher: "rc4", Feat: isa.FeatRot, Session: 64, Seed: DefaultSeed}
 
 	SetParallelism(1)
-	Sweep([]Cell{c, c})
+	SweepObservedCtx(context.Background(), []Cell{c, c}, nil)
 	if lastSweepWorkers != 1 {
 		t.Errorf("parallelism 1: sweep used %d workers, want serial path (1)", lastSweepWorkers)
 	}
 
 	// Many workers but one unique cell still degenerates to serial.
 	SetParallelism(6)
-	Sweep([]Cell{c, c, c})
+	SweepObservedCtx(context.Background(), []Cell{c, c, c}, nil)
 	if lastSweepWorkers != 1 {
 		t.Errorf("1 unique cell: sweep used %d workers, want serial path (1)", lastSweepWorkers)
 	}
@@ -144,9 +145,9 @@ func TestSweepSerialFallback(t *testing.T) {
 // twice — once with a single worker, once with four (forced, so the test
 // exercises real concurrency even on single-CPU machines) — and asserts
 // the rendered text is byte-identical. The parallel pass prefetches the
-// declared grid with Sweep first, exactly as cmd/asplos2000 -parallel
-// does, so this also pins that assembly order, not execution order,
-// determines report content.
+// declared grid with a sweep first, exactly as cmd/asplos2000 does, so
+// this also pins that assembly order, not execution order, determines
+// report content.
 func TestSerialParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full experiment suite twice")
@@ -171,7 +172,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 	ResetCache()
 	SetParallelism(4)
-	Sweep(AllCells())
+	SweepObservedCtx(context.Background(), AllCells(), nil)
 	parallel := render()
 
 	for _, g := range All() {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestSweepObservedProgress(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]int{}
 	last := 0
-	SweepObserved(cells, func(done, total int, c Cell, d time.Duration) {
+	SweepObservedCtx(context.Background(), cells, func(done, total int, c Cell, d time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
 		if total != uniq {

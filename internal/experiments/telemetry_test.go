@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,7 @@ func telemetryCells() []Cell {
 // timeline a sweep emits: one sweep span; one cell span per unique cell,
 // each parented to the sweep span and contained in it; cell spans on the
 // same worker track tile (never overlap); record/replay phase spans nest
-// inside cell spans; and everything is closed when Sweep returns.
+// inside cell spans; and everything is closed when the sweep returns.
 func TestSpanNestingTiling(t *testing.T) {
 	tl := metrics.NewTimeline()
 	prevTL := harness.SetTimeline(tl)
@@ -39,13 +40,13 @@ func TestSpanNestingTiling(t *testing.T) {
 	}()
 
 	cells := telemetryCells()
-	Sweep(cells)
+	SweepObservedCtx(context.Background(), cells, nil)
 
 	spans := tl.Spans()
 	byCat := map[string][]metrics.SpanID{}
 	for i, s := range spans {
 		if s.End < 0 {
-			t.Fatalf("span %d (%s %q) still open after Sweep returned", i, s.Cat, s.Name)
+			t.Fatalf("span %d (%s %q) still open after the sweep returned", i, s.Cat, s.Name)
 		}
 		if s.End < s.Start {
 			t.Fatalf("span %d (%s %q) ends before it starts", i, s.Cat, s.Name)
@@ -131,7 +132,7 @@ func TestSweepCountersDeterministic(t *testing.T) {
 			SetParallelism(prevPar)
 			ResetCache()
 		}()
-		Sweep(telemetryCells())
+		SweepObservedCtx(context.Background(), telemetryCells(), nil)
 		out := map[string]int64{}
 		snap := reg.Snapshot()
 		for _, name := range deterministic {
@@ -167,7 +168,7 @@ func TestMetricsReport(t *testing.T) {
 		harness.SetMetrics(prevReg)
 		ResetCache()
 	}()
-	Sweep(telemetryCells())
+	SweepObservedCtx(context.Background(), telemetryCells(), nil)
 	r := MetricsReport()
 	if r.ID != "telemetry" {
 		t.Fatalf("report id %q", r.ID)

@@ -24,7 +24,7 @@ const (
 	ExitOK        = 0
 	ExitError     = 1
 	ExitUsage     = 2
-	ExitPoisoned  = 5 // run completed, but one or more cells failed/panicked/timed out
+	ExitPoisoned  = 5 // run completed, but one or more cells failed or panicked
 	ExitInterrupt = 130
 	ExitForced    = 131
 )

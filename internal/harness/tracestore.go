@@ -210,18 +210,3 @@ func saveTraceToStore(k traceKey, tr *emu.Trace) {
 	}
 	s.Put(store.TierTrace, key, encodeRecs(tr.Recs))
 }
-
-// SetTraceBudget sets the trace-cache LRU byte budget (exposed as
-// -trace-budget on asplos2000 and simbench) and returns the previous
-// value. Non-positive values leave the budget unchanged. Shrinking evicts
-// immediately.
-func SetTraceBudget(n int) int {
-	traces.mu.Lock()
-	defer traces.mu.Unlock()
-	prev := traceBudgetBytes
-	if n > 0 {
-		traceBudgetBytes = n
-		traces.evictLocked()
-	}
-	return prev
-}

@@ -277,18 +277,3 @@ func TestStoreLoadSpanCoversRead(t *testing.T) {
 		t.Fatalf("storeload spans total %v, less than the store's load time %v", spans, st.LoadTime)
 	}
 }
-
-// TestSetTraceBudget pins the flag plumbing semantics: positive values
-// install, non-positive values only read.
-func TestSetTraceBudget(t *testing.T) {
-	orig := SetTraceBudget(0)
-	if orig <= 0 {
-		t.Fatalf("default trace budget %d", orig)
-	}
-	if prev := SetTraceBudget(1 << 20); prev != orig {
-		t.Fatalf("SetTraceBudget returned %d, want %d", prev, orig)
-	}
-	if prev := SetTraceBudget(orig); prev != 1<<20 {
-		t.Fatalf("budget did not stick: %d", prev)
-	}
-}
