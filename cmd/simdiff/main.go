@@ -16,7 +16,6 @@
 //	go run ./cmd/simdiff -json rijndael/rot/4W rijndael/rot/8W+
 //	go run ./cmd/simdiff -save-base before.json idea/rot/4W idea/rot/4W
 //	go run ./cmd/simdiff -listing mars/rot/4W mars/opt/4W   # same-program listing needs equal variants; differing programs render side by side
-//	go run ./cmd/simdiff -ledger .simledger                 # attribute the newest ledger record vs its predecessor
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"cryptoarch/internal/experiments"
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
-	"cryptoarch/internal/metrics"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/profview"
 )
@@ -121,84 +119,6 @@ func save(path string, s *side) error {
 	return nil
 }
 
-// runLedger implements -ledger: attribute the newest ledger record
-// against the most recent earlier comparable (same-key) record without
-// re-running anything, using the per-cause stall shares v2 records carry.
-func runLedger(dir, modelFilter string) int {
-	l, err := metrics.OpenLedger(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simdiff:", err)
-		return 1
-	}
-	recs, skipped, err := l.Read()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simdiff:", err)
-		return 1
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "simdiff: skipped %d corrupted ledger line(s) in %s\n", skipped, l.Path())
-	}
-	if len(recs) == 0 {
-		fmt.Fprintf(os.Stderr, "simdiff: %s is empty — nothing to attribute\n", l.Path())
-		return 1
-	}
-	latest := recs[len(recs)-1]
-	var prev *metrics.LedgerRecord
-	for i := len(recs) - 2; i >= 0; i-- {
-		if recs[i].Key == latest.Key {
-			prev = &recs[i]
-			break
-		}
-	}
-	if prev == nil {
-		fmt.Fprintf(os.Stderr, "simdiff: no earlier record comparable to key %s — nothing to attribute against\n", latest.Key)
-		return 1
-	}
-	fmt.Printf("ledger %s: key %s, record %d vs %d\n", l.Path(), latest.Key, len(recs)-1, len(recs))
-	prevModels := map[string]metrics.LedgerModel{}
-	for _, m := range prev.Models {
-		prevModels[m.Model] = m
-	}
-	shown := 0
-	for _, m := range latest.Models {
-		if modelFilter != "" && m.Model != modelFilter {
-			continue
-		}
-		pm, ok := prevModels[m.Model]
-		if !ok {
-			continue
-		}
-		shown++
-		fmt.Printf("\n%s: %.2f → %.2f sim-MIPS", m.Model, pm.SimMIPS, m.SimMIPS)
-		if pm.IPC > 0 && m.IPC > 0 {
-			fmt.Printf(", ipc %.3f → %.3f", pm.IPC, m.IPC)
-		}
-		fmt.Println()
-		deltas := metrics.AttributeShares(pm.StallShares, m.StallShares)
-		if deltas == nil {
-			fmt.Println("  no stall shares recorded on one side (pre-v2 record) — re-run simbench to capture attribution")
-			continue
-		}
-		moved := false
-		for _, d := range deltas {
-			if d.Delta == 0 {
-				continue
-			}
-			moved = true
-			fmt.Printf("  %-9s %5.1f%% → %5.1f%%  (%+.1f pts of slot budget)\n",
-				d.Cause, 100*d.Base, 100*d.Next, 100*d.Delta)
-		}
-		if !moved {
-			fmt.Println("  stall shares identical — the workload's shape is unchanged")
-		}
-	}
-	if shown == 0 {
-		fmt.Fprintf(os.Stderr, "simdiff: no model matched %q in both records\n", modelFilter)
-		return 1
-	}
-	return 0
-}
-
 func main() {
 	model := flag.String("model", "4W", "default machine model for specs without one (case-insensitive)")
 	bytes := flag.Int("bytes", experiments.SessionBytes, "session length in bytes for live specs")
@@ -208,13 +128,8 @@ func main() {
 	listing := flag.Bool("listing", false, "render the side-by-side annotated disassembly (live specs only)")
 	saveBase := flag.String("save-base", "", "write the base run as interchange JSON to this file")
 	saveNext := flag.String("save-next", "", "write the next run as interchange JSON to this file")
-	ledgerDir := flag.String("ledger", "", "don't simulate; attribute the newest record of this ledger directory against its predecessor")
-	ledgerModel := flag.String("ledger-model", "", "restrict -ledger attribution to one model (e.g. 4W)")
 	flag.Parse()
 
-	if *ledgerDir != "" {
-		os.Exit(runLedger(*ledgerDir, *ledgerModel))
-	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: simdiff [flags] BASE NEXT   (cipher/variant[/model] or saved-run .json; see -h)")
 		os.Exit(2)

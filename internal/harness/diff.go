@@ -21,14 +21,6 @@ func (s CellSpec) Label() string {
 	return fmt.Sprintf("%s/%s/%s", s.Cipher, s.Feat, s.Cfg.Name)
 }
 
-// KernelDiff is one differential comparison of two profiled cells: both
-// profiled runs (for the annotated-disassembly renderers) and the
-// checked diff between them.
-type KernelDiff struct {
-	Base, Next *ProfiledRun
-	Diff       *diff.RunDiff
-}
-
 // DiffRun wraps a profiled run as a diff side, attaching the program
 // digest that decides per-PC alignment.
 func DiffRun(label string, pr *ProfiledRun, spec CellSpec) (*diff.Run, error) {
@@ -42,33 +34,4 @@ func DiffRun(label string, pr *ProfiledRun, spec CellSpec) (*diff.Run, error) {
 		Profile:       pr.Profile,
 		ProgramDigest: digest,
 	}, nil
-}
-
-// DiffKernel profiles two cells through the trace cache and returns
-// their differential cycle accounting. The diff is conservation-checked
-// by construction (diff.New refuses inconsistent inputs); per-PC
-// attribution is present exactly when the two specs assemble the same
-// program (same cipher and feature level).
-func DiffKernel(base, next CellSpec, sessionBytes int, seed int64) (*KernelDiff, error) {
-	basePR, err := ProfileKernel(base.Cipher, base.Feat, base.Cfg, sessionBytes, seed)
-	if err != nil {
-		return nil, fmt.Errorf("harness: diff base %s: %w", base.Label(), err)
-	}
-	nextPR, err := ProfileKernel(next.Cipher, next.Feat, next.Cfg, sessionBytes, seed)
-	if err != nil {
-		return nil, fmt.Errorf("harness: diff next %s: %w", next.Label(), err)
-	}
-	baseRun, err := DiffRun(base.Label(), basePR, base)
-	if err != nil {
-		return nil, err
-	}
-	nextRun, err := DiffRun(next.Label(), nextPR, next)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := diff.New(baseRun, nextRun)
-	if err != nil {
-		return nil, err
-	}
-	return &KernelDiff{Base: basePR, Next: nextPR, Diff: rd}, nil
 }

@@ -132,7 +132,7 @@ func TestProfileReplayBitIdentical(t *testing.T) {
 }
 
 // TestTraceCacheHitMiss pins the per-request hit/miss classification the
-// sweep progress line and simbench report.
+// sweep progress line and perfbench report.
 func TestTraceCacheHitMiss(t *testing.T) {
 	harness.ResetTraceCache()
 	defer harness.ResetTraceCache()

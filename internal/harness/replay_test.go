@@ -110,7 +110,7 @@ func TestReplayTraceConcordance(t *testing.T) {
 	}
 }
 
-// TestTraceCacheStatsAccounting pins the cache counters simbench reports:
+// TestTraceCacheStatsAccounting pins the cache counters perfbench reports:
 // one record per key, one replay per run, record wall time accumulated.
 func TestTraceCacheStatsAccounting(t *testing.T) {
 	harness.ResetTraceCache()

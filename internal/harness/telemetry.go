@@ -4,8 +4,8 @@ package harness
 // metrics registry and span timeline that the trace cache, the timing
 // engine and the sweep scheduler report into. The registry defaults to a
 // live one — the trace-cache counters have always been on, and
-// simbench/asplos2000 JSON depends on them — while the timeline defaults
-// to nil (off).
+// perfbench and asplos2000 -json depend on them — while the timeline
+// defaults to nil (off).
 //
 // Setting the registry to nil disables all telemetry: every instrumented
 // site degrades to nil-handle no-ops, and simulated statistics and

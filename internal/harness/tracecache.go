@@ -137,8 +137,8 @@ func (r *releasingStream) Err() error {
 //
 // The counters live on the telemetry registry (tracecache.* names); this
 // struct is the stable JSON view ReadTraceCacheStats assembles from them,
-// so simbench and asplos2000 -json output keeps its field names. With the
-// registry disabled (SetMetrics(nil)) the counts read zero.
+// so asplos2000 -json output keeps its field names. With the registry
+// disabled (SetMetrics(nil)) the counts read zero.
 type TraceCacheStats struct {
 	Hits          int           `json:"hits"`           // requests served from a recorded trace
 	Misses        int           `json:"misses"`         // requests that paid functional emulation

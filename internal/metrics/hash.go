@@ -7,10 +7,8 @@ import (
 
 // HashKey returns the FNV-1a 64-bit content hash (16 hex digits) of an
 // ordered field list, writing a zero-byte separator after each field so
-// adjacent fields cannot alias ("a","bc" != "ab","c"). It is the single
-// key-derivation primitive shared by the run ledger (LedgerRecord.DeriveKey)
-// and the persistent result store (internal/store), so the two content-hash
-// schemes cannot silently diverge.
+// adjacent fields cannot alias ("a","bc" != "ab","c"). The persistent
+// store (internal/store) derives every key with it.
 func HashKey(fields ...string) string {
 	h := fnv.New64a()
 	for _, s := range fields {

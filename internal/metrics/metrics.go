@@ -1,7 +1,6 @@
 // Package metrics is the host-side telemetry layer of the simulator: typed
-// counters, gauges and histograms behind a registry, hierarchical span
-// timelines of sweep execution, and a persistent append-only run ledger
-// with trend detection.
+// counters, gauges and histograms behind a registry, and hierarchical
+// span timelines of sweep execution.
 //
 // The package is a leaf (it imports only the standard library) so every
 // layer — the timing engine, the trace cache, the sweep scheduler, the

@@ -7,11 +7,11 @@ import (
 )
 
 // EngineVersion identifies the timing-model generation for persistent
-// result keying (the run ledger, and future content-addressed result
-// stores). Bump it whenever a change alters the simulated statistics of
-// any (cipher, feature, config, session, seed) cell — the golden-stats
-// tests define "alters" — so archived measurements from different engine
-// generations are never compared as if they were the same experiment.
+// result keying (the content-addressed result store). Bump it whenever a
+// change alters the simulated statistics of any (cipher, feature, config,
+// session, seed) cell — the golden-stats tests define "alters" — so
+// archived measurements from different engine generations are never
+// compared as if they were the same experiment.
 const EngineVersion = "ooo-v1"
 
 // SetMetrics attaches a telemetry registry to the engine. At run

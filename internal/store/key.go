@@ -11,8 +11,7 @@ import (
 )
 
 // Key derivation. Every store entry is addressed by the FNV-1a content
-// hash of the complete identity of what it holds — the same discipline
-// (and the same metrics.HashKey primitive) as the run-ledger keys. Nothing
+// hash of the complete identity of what it holds (metrics.HashKey). Nothing
 // in the store is ever "updated": a change to any identity field derives a
 // different key, so a stale entry can only ever be missed, never returned.
 

@@ -19,7 +19,7 @@
 // concurrent writer can never leave a half-written entry under a live key;
 // at worst a truncated temp file leaks and is swept at the next Open.
 // Traffic counters ride on the shared metrics registry (store.* names) and
-// reach simbench JSON and asplos2000 -json via ReadStats.
+// reach perfbench and asplos2000 -json via ReadStats.
 package store
 
 import (
