@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation workloads. One benchmark
-// per table/figure drives the same code path as the corresponding cmd/
-// binary; the BenchmarkNative* group measures the golden Go ciphers on the
+// per table/figure drives the generator cmd/asplos2000 runs for that
+// report; the BenchmarkNative* group measures the golden Go ciphers on the
 // host CPU, standing in for the paper's real-Alpha validation bar in
 // Figure 4 (report MB/s via the custom metric).
 package cryptoarch_test
@@ -13,6 +13,7 @@ import (
 	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/experiments"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/pubkey"
 )
@@ -66,21 +67,21 @@ func BenchmarkKernelEmulation(b *testing.B) {
 // real-machine bar.
 func BenchmarkNative(b *testing.B) {
 	const session = 64 << 10
-	for _, name := range ciphers.Names() {
+	for _, name := range kernels.Names() {
 		b.Run(name, func(b *testing.B) {
-			c, err := ciphers.Lookup(name)
+			k, err := kernels.Get(name)
 			if err != nil {
 				b.Fatal(err)
 			}
-			key := make([]byte, c.KeyBytes())
+			key := make([]byte, k.KeyBytes)
 			for i := range key {
 				key[i] = byte(i + 1)
 			}
 			src := make([]byte, session)
 			dst := make([]byte, session)
 			b.SetBytes(session)
-			if c.Info.Stream {
-				s, err := c.NewStream(key)
+			if k.NewStream != nil {
+				s, err := k.NewStream(key)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -90,7 +91,7 @@ func BenchmarkNative(b *testing.B) {
 				}
 				return
 			}
-			blk, err := c.NewBlock(key)
+			blk, err := k.NewBlock(key)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,23 +107,23 @@ func BenchmarkNative(b *testing.B) {
 // BenchmarkNativeSetup measures key-schedule cost on the host (the
 // Figure 6 quantity, natively).
 func BenchmarkNativeSetup(b *testing.B) {
-	for _, name := range ciphers.Names() {
+	for _, name := range kernels.Names() {
 		b.Run(name, func(b *testing.B) {
-			c, err := ciphers.Lookup(name)
+			k, err := kernels.Get(name)
 			if err != nil {
 				b.Fatal(err)
 			}
-			key := make([]byte, c.KeyBytes())
+			key := make([]byte, k.KeyBytes)
 			for i := range key {
 				key[i] = byte(i + 1)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if c.Info.Stream {
-					if _, err := c.NewStream(key); err != nil {
+				if k.NewStream != nil {
+					if _, err := k.NewStream(key); err != nil {
 						b.Fatal(err)
 					}
-				} else if _, err := c.NewBlock(key); err != nil {
+				} else if _, err := k.NewBlock(key); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,19 +160,30 @@ func BenchmarkModelSweep(b *testing.B) {
 	}
 }
 
-// Example-style smoke check so `go test .` exercises the façade.
+// Example-style smoke check so `go test .` exercises the façade. Each
+// cipher's Info is pinned: it is the paper's Table 1 configuration.
 func TestPublicAPISurface(t *testing.T) {
-	names := cryptoarch.CipherNames()
-	if len(names) != 8 {
-		t.Fatalf("expected 8 ciphers, got %v", names)
+	want := []cryptoarch.CipherInfo{
+		{Name: "3des", KeyBits: 168, BlockBits: 64, Rounds: 48, KeyBytes: 24},
+		{Name: "blowfish", KeyBits: 128, BlockBits: 64, Rounds: 16, KeyBytes: 16},
+		{Name: "idea", KeyBits: 128, BlockBits: 64, Rounds: 8, KeyBytes: 16},
+		{Name: "mars", KeyBits: 128, BlockBits: 128, Rounds: 16, KeyBytes: 16},
+		{Name: "rc4", KeyBits: 128, BlockBits: 8, Rounds: 1, Stream: true, KeyBytes: 16},
+		{Name: "rc6", KeyBits: 128, BlockBits: 128, Rounds: 20, KeyBytes: 16},
+		{Name: "rijndael", KeyBits: 128, BlockBits: 128, Rounds: 10, KeyBytes: 16},
+		{Name: "twofish", KeyBits: 128, BlockBits: 128, Rounds: 16, KeyBytes: 16},
 	}
-	for _, n := range names {
+	names := cryptoarch.CipherNames()
+	if len(names) != len(want) {
+		t.Fatalf("expected %d ciphers, got %v", len(want), names)
+	}
+	for i, n := range names {
 		info, err := cryptoarch.Info(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.KeyBytes == 0 || info.Rounds == 0 {
-			t.Fatalf("%s: incomplete info %+v", n, info)
+		if info != want[i] {
+			t.Errorf("Info(%q) = %+v, want %+v", n, info, want[i])
 		}
 	}
 	if _, err := cryptoarch.NewCipher("rc4", make([]byte, 16)); err == nil {

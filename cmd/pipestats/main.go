@@ -26,13 +26,14 @@ import (
 	"cryptoarch/internal/experiments"
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
 func main() {
 	cipher := flag.String("cipher", "rc4", "cipher name, comma-separated list, or \"all\"")
 	variant := flag.String("variant", "rot", "kernel variant: norot, rot, opt")
-	model := flag.String("model", "4W", "machine model: 4W, 4W+, 8W+, DF, or DF+<bottleneck>")
+	model := flag.String("model", "4W", "machine model: 4W, 4W+, 8W+, DF, or DF+<bottleneck> (case-insensitive)")
 	sessionBytes := flag.Int("bytes", experiments.SessionBytes, "session length in bytes")
 	tracePath := flag.String("trace", "", "write a JSONL pipeline event trace to this file")
 	konataPath := flag.String("konata", "", "write a Konata (Kanata-format) pipeline trace to this file")
@@ -50,7 +51,7 @@ func main() {
 	}
 	suite := []string{*cipher}
 	if *cipher == "all" {
-		suite = experiments.Ciphers
+		suite = kernels.Names()
 	} else if strings.Contains(*cipher, ",") {
 		suite = strings.Split(*cipher, ",")
 	}

@@ -61,7 +61,7 @@ func parseSpec(arg, defaultModel string) (harness.CellSpec, error) {
 	if len(parts) == 3 {
 		model = parts[2]
 	}
-	cfg, err := ooo.ModelByNameFold(model)
+	cfg, err := ooo.ModelByName(model)
 	if err != nil {
 		return harness.CellSpec{}, fmt.Errorf("spec %q: %v", arg, err)
 	}

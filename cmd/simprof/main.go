@@ -7,7 +7,7 @@
 // profiling a cell that has already been timed replays for free — and a
 // replayed profile is bit-identical to a live one.
 //
-//	go run ./cmd/simprof -cipher blowfish -opt -model 4w+ -fold | flamegraph.pl > bf.svg
+//	go run ./cmd/simprof -cipher blowfish -variant opt -model 4w+ -fold | flamegraph.pl > bf.svg
 //	go run ./cmd/simprof -cipher rijndael -model 4w -pprof aes.pb.gz && go tool pprof -top aes.pb.gz
 package main
 
@@ -32,9 +32,6 @@ func fail(err error) {
 func main() {
 	cipher := flag.String("cipher", "blowfish", "cipher kernel to profile (3des, blowfish, idea, mars, rc4, rc6, rijndael, twofish)")
 	variant := flag.String("variant", "rot", "ISA variant: norot, rot or opt")
-	norot := flag.Bool("norot", false, "shorthand for -variant norot")
-	rot := flag.Bool("rot", false, "shorthand for -variant rot")
-	opt := flag.Bool("opt", false, "shorthand for -variant opt")
 	model := flag.String("model", "4W", "machine model: 4W, 4W+, 8W+, DF or DF+<bottleneck> (case-insensitive)")
 	bytes := flag.Int("bytes", experiments.SessionBytes, "session length in bytes")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "workload seed")
@@ -44,19 +41,11 @@ func main() {
 	pprofOut := flag.String("pprof", "", "write a gzipped pprof profile to this file")
 	flag.Parse()
 
-	switch {
-	case *norot:
-		*variant = "norot"
-	case *rot:
-		*variant = "rot"
-	case *opt:
-		*variant = "opt"
-	}
 	feat, err := isa.ParseFeature(*variant)
 	if err != nil {
 		fail(err)
 	}
-	cfg, err := ooo.ModelByNameFold(*model)
+	cfg, err := ooo.ModelByName(*model)
 	if err != nil {
 		fail(err)
 	}

@@ -5,16 +5,17 @@
 // It exposes three layers:
 //
 //   - the cipher library: from-scratch implementations of the paper's
-//     eight symmetric ciphers with CBC chaining (NewCipher, Encrypt...);
+//     eight symmetric ciphers with CBC chaining (NewCipher, EncryptCBC...);
 //   - the AXP64 toolchain: an Alpha-like ISA with the paper's
 //     cryptographic extensions, an assembler builder, a functional
-//     emulator, and hand-written cipher kernels (Kernel, RunKernel);
+//     emulator, and hand-written cipher kernels at three ISA levels
+//     (ISABase, ISARotate, ISAExtended; InstructionCount);
 //   - the microarchitecture laboratory: the cycle-level out-of-order
 //     timing model with the paper's machine configurations
-//     (Time, Machines) and bottleneck-analysis knobs.
+//     (Time, FourWide...) and bottleneck-analysis knobs.
 //
-// The experiment drivers under cmd/ regenerate every table and figure of
-// the paper from these pieces; see DESIGN.md and EXPERIMENTS.md.
+// cmd/asplos2000 regenerates every table and figure of the paper from
+// these pieces; see DESIGN.md and EXPERIMENTS.md.
 package cryptoarch
 
 import (
@@ -23,6 +24,7 @@ import (
 	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -34,7 +36,7 @@ type (
 
 // CipherNames returns the eight supported cipher names:
 // 3des, blowfish, idea, mars, rc4, rc6, rijndael, twofish.
-func CipherNames() []string { return ciphers.Names() }
+func CipherNames() []string { return kernels.Names() }
 
 // CipherInfo describes a cipher's paper configuration (Table 1).
 type CipherInfo struct {
@@ -48,43 +50,43 @@ type CipherInfo struct {
 
 // Info returns the Table 1 configuration of a cipher.
 func Info(name string) (CipherInfo, error) {
-	c, err := ciphers.Lookup(name)
+	k, err := kernels.Get(name)
 	if err != nil {
 		return CipherInfo{}, err
 	}
 	return CipherInfo{
-		Name:      c.Info.Name,
-		KeyBits:   c.Info.KeyBits,
-		BlockBits: c.Info.BlockBits,
-		Rounds:    c.Info.Rounds,
-		Stream:    c.Info.Stream,
-		KeyBytes:  c.KeyBytes(),
+		Name:      k.Name,
+		KeyBits:   k.KeyBits,
+		BlockBits: 8 * k.BlockBytes,
+		Rounds:    k.Rounds,
+		Stream:    k.NewStream != nil,
+		KeyBytes:  k.KeyBytes,
 	}, nil
 }
 
 // NewCipher returns a keyed block cipher by name. RC4 is a stream cipher;
 // use NewStream for it.
 func NewCipher(name string, key []byte) (Block, error) {
-	c, err := ciphers.Lookup(name)
+	k, err := kernels.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	if c.Info.Stream {
+	if k.NewBlock == nil {
 		return nil, fmt.Errorf("cryptoarch: %s is a stream cipher; use NewStream", name)
 	}
-	return c.NewBlock(key)
+	return k.NewBlock(key)
 }
 
 // NewStream returns a keyed stream cipher by name (rc4).
 func NewStream(name string, key []byte) (Stream, error) {
-	c, err := ciphers.Lookup(name)
+	k, err := kernels.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	if !c.Info.Stream {
+	if k.NewStream == nil {
 		return nil, fmt.Errorf("cryptoarch: %s is a block cipher; use NewCipher", name)
 	}
-	return c.NewStream(key)
+	return k.NewStream(key)
 }
 
 // EncryptCBC encrypts src in chaining-block-cipher mode, updating iv in

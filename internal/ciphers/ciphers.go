@@ -1,17 +1,11 @@
-// Package ciphers defines the common block/stream cipher interfaces, CBC
-// chaining, and the registry of the eight symmetric-key ciphers analyzed in
-// the paper (Table 1): 3DES, Blowfish, IDEA, MARS, RC4, RC6, Rijndael and
-// Twofish. The implementations are written from scratch in the subpackages
-// and serve as the golden models against which every AXP64 kernel variant
-// is validated.
+// Package ciphers defines the common block/stream cipher interfaces and
+// CBC chaining for the eight symmetric-key ciphers analyzed in the paper:
+// 3DES, Blowfish, IDEA, MARS, RC4, RC6, Rijndael and Twofish. The
+// implementations are written from scratch in the subpackages and serve as
+// the golden models against which every AXP64 kernel variant is
+// validated. The cipher table (Table 1's rows and each golden model's
+// constructor) is internal/kernels.
 package ciphers
-
-import (
-	"fmt"
-	"sort"
-
-	"cryptoarch/internal/check"
-)
 
 // Block is a block cipher with a fixed block size.
 type Block interface {
@@ -26,56 +20,6 @@ type Block interface {
 // Stream is a stream cipher (RC4). XORKeyStream advances the keystream.
 type Stream interface {
 	XORKeyStream(dst, src []byte)
-}
-
-// Info is the Table 1 row for a cipher.
-type Info struct {
-	Name      string
-	KeyBits   int
-	BlockBits int // 8 for the RC4 stream cipher, as in the paper
-	Rounds    int
-	Author    string
-	Example   string // example application, per Table 1
-	Stream    bool
-}
-
-// Cipher couples Table 1 metadata with constructors for the golden model.
-type Cipher struct {
-	Info Info
-	// NewBlock returns the cipher keyed with key (nil for stream ciphers).
-	NewBlock func(key []byte) (Block, error)
-	// NewStream returns the keyed stream cipher (nil for block ciphers).
-	NewStream func(key []byte) (Stream, error)
-}
-
-var registry = map[string]*Cipher{}
-
-// Register adds a cipher to the registry; it is called from subpackage
-// glue in registry.go.
-func Register(c *Cipher) {
-	if _, dup := registry[c.Info.Name]; dup {
-		panic("ciphers: duplicate registration of " + c.Info.Name)
-	}
-	registry[c.Info.Name] = c
-}
-
-// Lookup returns the named cipher.
-func Lookup(name string) (*Cipher, error) {
-	c, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("ciphers: unknown cipher %q%s", name, check.Suggest(name, Names()))
-	}
-	return c, nil
-}
-
-// Names returns all registered cipher names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CBCEncrypt encrypts src (a whole number of blocks) in chaining-block-

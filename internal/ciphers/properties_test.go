@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cryptoarch/internal/ciphers"
+	"cryptoarch/internal/kernels"
 )
 
 // TestAvalancheAllCiphers checks the paper's strength criterion (Section
@@ -14,14 +14,14 @@ import (
 // probability near 50%, for every block cipher in the suite.
 func TestAvalancheAllCiphers(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	for _, name := range ciphers.Names() {
-		c, _ := ciphers.Lookup(name)
-		if c.Info.Stream {
+	for _, name := range kernels.Names() {
+		k, _ := kernels.Get(name)
+		if k.NewStream != nil {
 			continue // a keystream XOR propagates nothing by design
 		}
-		key := make([]byte, c.KeyBytes())
+		key := make([]byte, k.KeyBytes)
 		rng.Read(key)
-		b, err := c.NewBlock(key)
+		b, err := k.NewBlock(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,14 +54,14 @@ func TestAvalancheAllCiphers(t *testing.T) {
 // key bit perturbs the ciphertext as strongly as a plaintext change.
 func TestKeyAvalancheAllCiphers(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
-	for _, name := range ciphers.Names() {
-		c, _ := ciphers.Lookup(name)
-		if c.Info.Stream {
+	for _, name := range kernels.Names() {
+		k, _ := kernels.Get(name)
+		if k.NewStream != nil {
 			continue
 		}
-		key := make([]byte, c.KeyBytes())
+		key := make([]byte, k.KeyBytes)
 		rng.Read(key)
-		b, _ := c.NewBlock(key)
+		b, _ := k.NewBlock(key)
 		n := b.BlockSize()
 		pt := make([]byte, n)
 		rng.Read(pt)
@@ -74,7 +74,7 @@ func TestKeyAvalancheAllCiphers(t *testing.T) {
 			}
 			mod := append([]byte(nil), key...)
 			mod[bit/8] ^= 1 << uint(bit%8)
-			b2, err := c.NewBlock(mod)
+			b2, err := k.NewBlock(mod)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,17 +95,17 @@ func TestKeyAvalancheAllCiphers(t *testing.T) {
 // TestQuickRoundTripAllCiphers is a quick.Check property: for random keys
 // and plaintexts, Decrypt(Encrypt(x)) == x for every block cipher.
 func TestQuickRoundTripAllCiphers(t *testing.T) {
-	for _, name := range ciphers.Names() {
-		c, _ := ciphers.Lookup(name)
-		if c.Info.Stream {
+	for _, name := range kernels.Names() {
+		k, _ := kernels.Get(name)
+		if k.NewStream != nil {
 			continue
 		}
 		name := name
 		prop := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			key := make([]byte, c.KeyBytes())
+			key := make([]byte, k.KeyBytes)
 			rng.Read(key)
-			b, err := c.NewBlock(key)
+			b, err := k.NewBlock(key)
 			if err != nil {
 				return false
 			}

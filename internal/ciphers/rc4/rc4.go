@@ -45,6 +45,3 @@ func (c *RC4) XORKeyStream(dst, src []byte) {
 // State exposes the permutation table and indices for kernel
 // initialization and validation.
 func (c *RC4) State() (s [256]byte, i, j byte) { return c.s, c.i, c.j }
-
-// SetState restores a captured state (used to check kernel-final states).
-func (c *RC4) SetState(s [256]byte, i, j byte) { c.s, c.i, c.j = s, i, j }

@@ -148,22 +148,6 @@ func RSMatrix() [4][8]byte { return rs }
 // RSPoly is the GF(2^8) reduction polynomial of the RS code.
 const RSPoly = rsPoly
 
-// SWords computes the two RS-derived key words (exposed for setup
-// validation).
-func SWords(key []byte) (s0, s1 uint32) {
-	var s [2]uint32
-	for half := 0; half < 2; half++ {
-		for row := 0; row < 4; row++ {
-			var acc byte
-			for col := 0; col < 8; col++ {
-				acc ^= gfMul(rs[row][col], key[8*half+col], rsPoly)
-			}
-			s[half] |= uint32(acc) << (8 * row)
-		}
-	}
-	return s[0], s[1]
-}
-
 // Twofish is a keyed instance.
 type Twofish struct {
 	k    [8 + 2*rounds]uint32 // whitening + round subkeys

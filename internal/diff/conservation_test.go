@@ -13,9 +13,9 @@ import (
 	"testing"
 
 	"cryptoarch/internal/diff"
-	"cryptoarch/internal/experiments"
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -68,7 +68,7 @@ func checkConserved(t *testing.T, rd *diff.RunDiff) {
 func TestDiffConservation(t *testing.T) {
 	feats := []isa.Feature{isa.FeatNoRot, isa.FeatRot, isa.FeatOpt}
 	models := []ooo.Config{ooo.FourWide, ooo.FourWidePlus, ooo.EightWidePlus, ooo.Dataflow}
-	for _, cipher := range experiments.Ciphers {
+	for _, cipher := range kernels.Names() {
 		for _, cfg := range models {
 			runs := map[isa.Feature]*diff.Run{}
 			for _, feat := range feats {

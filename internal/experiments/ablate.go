@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -62,7 +63,7 @@ func Ablate(param, cipher string) (*Report, error) {
 	if ab == nil {
 		return nil, fmt.Errorf("experiments: unknown ablation %q (have %v)", param, AblationNames())
 	}
-	suite := Ciphers
+	suite := kernels.Names()
 	if cipher != "" {
 		suite = []string{cipher}
 	}

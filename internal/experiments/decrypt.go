@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -11,7 +12,7 @@ import (
 // session in each direction.
 func DecryptParityCells() []Cell {
 	var cells []Cell
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		cells = append(cells,
 			Cell{Kind: CellKernel, Cipher: name, Feat: isa.FeatOpt, Cfg: ooo.FourWide, Session: SessionBytes, Seed: DefaultSeed},
 			Cell{Kind: CellDecrypt, Cipher: name, Feat: isa.FeatOpt, Cfg: ooo.FourWide, Session: SessionBytes, Seed: DefaultSeed},
@@ -34,7 +35,7 @@ func DecryptParity() (*Report, error) {
 			"Cipher", "Encrypt cycles", "Decrypt cycles", "Dec/Enc",
 		},
 	}
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		enc, err := timed(name, isa.FeatOpt, ooo.FourWide, SessionBytes, DefaultSeed)
 		if err != nil {
 			return nil, err

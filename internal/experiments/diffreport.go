@@ -6,6 +6,7 @@ import (
 
 	"cryptoarch/internal/diff"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -36,7 +37,7 @@ func parseDiffSide(s string) (diffSide, error) {
 	if !hasModel {
 		return diffSide{feat: feat}, nil
 	}
-	cfg, err := ooo.ModelByNameFold(model)
+	cfg, err := ooo.ModelByName(model)
 	if err != nil {
 		return diffSide{}, err
 	}
@@ -88,7 +89,7 @@ func BottleneckShiftCells(spec string) ([]Cell, error) {
 		return nil, err
 	}
 	var cells []Cell
-	for _, cipher := range Ciphers {
+	for _, cipher := range kernels.Names() {
 		for _, p := range diffGrid(base, next) {
 			cells = append(cells,
 				Cell{Kind: CellKernel, Cipher: cipher, Feat: p.baseFeat, Cfg: p.baseCfg, Session: SessionBytes, Seed: DefaultSeed},
@@ -139,7 +140,7 @@ func BottleneckShift(spec string) (*Report, error) {
 		Columns: append([]string{"cipher", "pair", "speedup", "Δcycles"},
 			append(groupNames(), "top shift")...),
 	}
-	for _, cipher := range Ciphers {
+	for _, cipher := range kernels.Names() {
 		for _, p := range diffGrid(base, next) {
 			baseStats, err := timed(cipher, p.baseFeat, p.baseCfg, SessionBytes, DefaultSeed)
 			if err != nil {

@@ -17,9 +17,6 @@ import (
 // session length of 4k bytes").
 const SessionBytes = 4096
 
-// Ciphers lists the suite in the paper's presentation order.
-var Ciphers = []string{"3des", "blowfish", "idea", "mars", "rc4", "rc6", "rijndael", "twofish"}
-
 // ReportSchemaVersion stamps every JSON-rendered report so downstream
 // scrapers can detect layout changes. Bump it when a field is renamed,
 // removed, or changes meaning — not when rows or notes change.

@@ -2,29 +2,34 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestTable1Content pins every cell of Table 1: the paper's cipher suite
+// as configured for the experiments.
 func TestTable1Content(t *testing.T) {
 	r, err := Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 8 {
-		t.Fatalf("Table 1 must list 8 ciphers, got %d", len(r.Rows))
+	want := [][]string{
+		{"3des", "168", "64", "48", "CryptSoft", "SSL, SSH"},
+		{"blowfish", "128", "64", "16", "CryptSoft", "Norton Utilities"},
+		{"idea", "128", "64", "8", "Ascom", "PGP, SSH"},
+		{"mars", "128", "128", "16", "IBM", "AES Candidate"},
+		{"rc4", "128", "8", "1", "CryptSoft", "SSL"},
+		{"rc6", "128", "128", "20", "RSA Security", "AES Candidate"},
+		{"rijndael", "128", "128", "10", "Rijmen", "AES Candidate"},
+		{"twofish", "128", "128", "16", "Counterpane", "AES Candidate"},
 	}
-	// Spot-check the paper's configuration.
-	for _, row := range r.Rows {
-		switch row[0] {
-		case "3des":
-			if row[1] != "168" || row[3] != "48" {
-				t.Errorf("3des row wrong: %v", row)
-			}
-		case "rijndael":
-			if row[2] != "128" || row[3] != "10" {
-				t.Errorf("rijndael row wrong: %v", row)
-			}
+	if len(r.Rows) != len(want) {
+		t.Fatalf("Table 1 has %d rows, want %d", len(r.Rows), len(want))
+	}
+	for i, row := range r.Rows {
+		if !slices.Equal(row, want[i]) {
+			t.Errorf("Table 1 row %d = %q, want %q", i, row, want[i])
 		}
 	}
 }

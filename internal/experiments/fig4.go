@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -11,7 +12,7 @@ import (
 // and two timed sessions (baseline and dataflow).
 func Fig4Cells() []Cell {
 	var cells []Cell
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		cells = append(cells,
 			Cell{Kind: CellCount, Cipher: name, Feat: isa.FeatRot, Session: SessionBytes, Seed: DefaultSeed},
 			Cell{Kind: CellKernel, Cipher: name, Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: SessionBytes, Seed: DefaultSeed},
@@ -36,7 +37,7 @@ func Fig4() (*Report, error) {
 			"Cipher", "1 CPI", "4W", "DF", "4W IPC", "Insts/byte",
 		},
 	}
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		insts, err := counted(name, isa.FeatRot, SessionBytes, DefaultSeed)
 		if err != nil {
 			return nil, err

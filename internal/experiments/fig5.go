@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -12,7 +13,7 @@ import (
 // cannot be built is omitted here; Fig5 itself surfaces the error.)
 func Fig5Cells() []Cell {
 	var cells []Cell
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		cells = append(cells, Cell{Kind: CellKernel, Cipher: name, Feat: isa.FeatRot, Cfg: ooo.Dataflow, Session: SessionBytes, Seed: DefaultSeed})
 		for _, bn := range ooo.Bottlenecks {
 			cfg, err := ooo.BottleneckConfig(bn)
@@ -36,7 +37,7 @@ func Fig5() (*Report, error) {
 		Note:  "Original kernels with rotates, 4KB sessions. 1.00 means the bottleneck does not bind.",
 	}
 	r.Columns = append([]string{"Cipher"}, ooo.Bottlenecks...)
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		df, err := timed(name, isa.FeatRot, ooo.Dataflow, SessionBytes, DefaultSeed)
 		if err != nil {
 			return nil, err

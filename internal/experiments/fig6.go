@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -27,7 +28,7 @@ func fig6Session(name string, s int) (int, error) {
 // one timed session per swept length.
 func Fig6Cells() []Cell {
 	var cells []Cell
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		cells = append(cells, Cell{Kind: CellSetup, Cipher: name, Feat: isa.FeatRot, Cfg: ooo.FourWide, Seed: DefaultSeed})
 		for _, s := range Fig6Sessions {
 			sess, err := fig6Session(name, s)
@@ -55,7 +56,7 @@ func Fig6() (*Report, error) {
 		}
 		return c
 	}()...)
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		setup, err := timedSetup(name, isa.FeatRot, ooo.FourWide, DefaultSeed)
 		if err != nil {
 			return nil, err

@@ -44,7 +44,7 @@ func measureOpMix(cipher string, feat isa.Feature, session int, seed int64) (opM
 // cipher.
 func Fig7Cells() []Cell {
 	var cells []Cell
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		cells = append(cells, Cell{Kind: CellMix, Cipher: name, Feat: isa.FeatRot, Session: SessionBytes, Seed: DefaultSeed})
 	}
 	return cells
@@ -64,7 +64,7 @@ func Fig7() (*Report, error) {
 		isa.ClassArith, isa.ClassLogic, isa.ClassRotate, isa.ClassMult,
 		isa.ClassSubst, isa.ClassPerm, isa.ClassMem, isa.ClassControl,
 	}
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		mix, err := mixFor(name, isa.FeatRot, SessionBytes, DefaultSeed)
 		if err != nil {
 			return nil, err

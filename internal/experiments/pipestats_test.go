@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -68,7 +69,7 @@ func TestStallSharesMatchFigure5(t *testing.T) {
 		t.Skip("full cipher sweep")
 	}
 	agree := 0
-	for _, cipher := range Ciphers {
+	for _, cipher := range kernels.Names() {
 		_, st, err := PipeStats(cipher, isa.FeatRot, ooo.FourWide, SessionBytes, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/profview"
 )
@@ -69,7 +70,7 @@ func HotSpots(topN int) (*Report, error) {
 			"of the run's total budget.",
 		Columns: []string{"cipher", "variant", "model", "rank", "pc", "instruction", "retired", "weight", "share", "top stall"},
 	}
-	for _, cipher := range Ciphers {
+	for _, cipher := range kernels.Names() {
 		for _, bar := range profileGrid() {
 			pr, err := harness.ProfileKernel(cipher, bar.feat, bar.cfg, SessionBytes, DefaultSeed)
 			if err != nil {

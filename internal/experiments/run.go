@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // Generator is one experiment entry point. Cells declares the grid of
@@ -45,31 +42,6 @@ func AllCells() []Cell {
 		}
 	}
 	return cells
-}
-
-// Main is the shared entry point of the per-experiment commands: it runs
-// the generator and prints the report — plain text, markdown with -md, or
-// JSON with -json. The flag set is named after the experiment so that an
-// unknown flag produces a usage message identifying which experiment the
-// command regenerates.
-func Main(name string, run func() (*Report, error)) {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	md := fs.Bool("md", false, "emit a markdown table")
-	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "Usage of %s (regenerates experiment %q):\n", filepath.Base(os.Args[0]), name)
-		fs.PrintDefaults()
-	}
-	fs.Parse(os.Args[1:])
-	r, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	if err := Emit(os.Stdout, r, *md, *asJSON); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
 }
 
 // Emit writes a report in the selected rendering (text by default; JSON

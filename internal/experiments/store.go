@@ -33,7 +33,7 @@ func cellStoreKey(c Cell) (string, bool) {
 	id := store.ResultIdentity{
 		EngineVersion: ooo.EngineVersion,
 		EmuVersion:    emu.Version,
-		Kind:          c.Kind.kindName(),
+		Kind:          c.Kind.String(),
 		Cipher:        c.Cipher,
 		Feat:          c.Feat.String(),
 		Session:       c.Session,

@@ -57,34 +57,13 @@ func (c Cell) key() string {
 	return fmt.Sprintf("%d|%s|%s|%s|%d|%d", c.Kind, c.Cipher, c.Feat, c.Cfg.Name, c.Session, c.Seed)
 }
 
-// kindName is the human-readable cell kind, used in span labels.
-func (k CellKind) kindName() string {
-	switch k {
-	case CellKernel:
-		return "kernel"
-	case CellSetup:
-		return "setup"
-	case CellDecrypt:
-		return "decrypt"
-	case CellCount:
-		return "count"
-	case CellMix:
-		return "mix"
-	case CellValuePred:
-		return "valuepred"
-	case CellHandshake:
-		return "handshake"
-	}
-	return "unknown"
-}
-
 // label is the span name of a cell: kind, cipher/feature and — when the
 // cell runs a timing model — the machine configuration.
 func (c Cell) label() string {
 	if c.Cfg.Name != "" {
-		return fmt.Sprintf("%s %s/%s %s", c.Kind.kindName(), c.Cipher, c.Feat, c.Cfg.Name)
+		return fmt.Sprintf("%s %s/%s %s", c.Kind, c.Cipher, c.Feat, c.Cfg.Name)
 	}
-	return fmt.Sprintf("%s %s/%s", c.Kind.kindName(), c.Cipher, c.Feat)
+	return fmt.Sprintf("%s %s/%s", c.Kind, c.Cipher, c.Feat)
 }
 
 // cellResult is a singleflight slot: the first goroutine to need the cell

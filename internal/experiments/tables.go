@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"cryptoarch/internal/ciphers"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -14,15 +14,14 @@ func Table1() (*Report, error) {
 		Title:   "Private key symmetric ciphers analyzed",
 		Columns: []string{"Cipher", "Key bits", "Block bits", "Rounds/blk", "Author", "Example application"},
 	}
-	for _, name := range Ciphers {
-		c, err := ciphers.Lookup(name)
+	for _, name := range kernels.Names() {
+		k, err := kernels.Get(name)
 		if err != nil {
 			return nil, err
 		}
-		i := c.Info
 		r.Rows = append(r.Rows, []string{
-			i.Name, fmt.Sprint(i.KeyBits), fmt.Sprint(i.BlockBits),
-			fmt.Sprint(i.Rounds), i.Author, i.Example,
+			k.Name, fmt.Sprint(k.KeyBits), fmt.Sprint(8 * k.BlockBytes),
+			fmt.Sprint(k.Rounds), k.Author, k.Example,
 		})
 	}
 	return r, nil

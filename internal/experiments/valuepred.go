@@ -7,6 +7,7 @@ import (
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 )
 
 // vpRow is the value-predictability summary of one cipher kernel.
@@ -107,7 +108,7 @@ func measureValuePred(cipher string, feat isa.Feature, session int, seed int64) 
 // measurement per cipher.
 func ValuePredCells() []Cell {
 	var cells []Cell
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		cells = append(cells, Cell{Kind: CellValuePred, Cipher: name, Feat: isa.FeatRot, Session: SessionBytes, Seed: DefaultSeed})
 	}
 	return cells
@@ -129,7 +130,7 @@ func ValuePred() (*Report, error) {
 			"Cipher", "Best edge accuracy", "Mean accuracy", "Edges measured",
 		},
 	}
-	for _, name := range Ciphers {
+	for _, name := range kernels.Names() {
 		row, err := valuePredFor(name, isa.FeatRot, SessionBytes, DefaultSeed)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/kernels"
@@ -77,12 +76,23 @@ func TracerObserver(t ooo.Tracer) RunObserver {
 	return func(e *ooo.Engine) { e.SetTracer(t) }
 }
 
-// meteredRun attaches the process telemetry to a warmed engine and runs
-// it: run totals accumulate onto the metrics registry, and when a span
-// timeline is installed the run appears as a replay-phase span (nested in
-// the sweep cell that requested it). With telemetry off this adds one nil
-// check and one atomic load per run.
-func meteredRun(eng *ooo.Engine, cfg ooo.Config, cipher string, feat isa.Feature) (*ooo.Stats, error) {
+// runEngine is the sequence every timing entry point shares: build the
+// engine over src, warm ctxBytes of kernel context (0 warms none) and
+// codeLen instructions of code, hand the warmed engine to obs (when
+// non-nil), and run it with the process telemetry attached. Run totals
+// accumulate onto the metrics registry, and when a span timeline is
+// installed the run appears as a replay-phase span (nested in the sweep
+// cell that requested it). With telemetry off this adds one nil check and
+// one atomic load per run.
+func runEngine(src ooo.Stream, codeLen, ctxBytes int, cfg ooo.Config, cipher string, feat isa.Feature, obs RunObserver) (*ooo.Stats, error) {
+	eng := ooo.NewEngine(cfg, src)
+	if ctxBytes > 0 {
+		eng.WarmData(kernels.CtxAddr, ctxBytes)
+	}
+	eng.WarmCode(codeLen)
+	if obs != nil {
+		obs(eng)
+	}
 	eng.SetMetrics(Metrics())
 	tl := CurrentTimeline()
 	sp := metrics.NoSpan
@@ -114,13 +124,7 @@ func TimeKernelObserved(cipher string, feat isa.Feature, cfg ooo.Config, session
 	if err != nil {
 		return nil, err
 	}
-	eng := ooo.NewEngine(cfg, src)
-	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
-	eng.WarmCode(codeLen)
-	if obs != nil {
-		obs(eng)
-	}
-	return meteredRun(eng, cfg, cipher, feat)
+	return runEngine(src, codeLen, k.CtxBytes, cfg, cipher, feat, obs)
 }
 
 // TimeWorkload times a prepared workload.
@@ -128,8 +132,9 @@ func TimeWorkload(w *Workload, feat isa.Feature, cfg ooo.Config) (*ooo.Stats, er
 	return TimeWorkloadObserved(w, feat, cfg, nil)
 }
 
-// TimeWorkloadObserved times a prepared workload, calling obs (when
-// non-nil) on the warmed engine before the run starts.
+// TimeWorkloadObserved times a prepared workload on the live functional
+// emulator, calling obs (when non-nil) on the warmed engine before the
+// run starts.
 func TimeWorkloadObserved(w *Workload, feat isa.Feature, cfg ooo.Config, obs RunObserver) (*ooo.Stats, error) {
 	k, err := kernels.Get(w.Cipher)
 	if err != nil {
@@ -139,13 +144,7 @@ func TimeWorkloadObserved(w *Workload, feat isa.Feature, cfg ooo.Config, obs Run
 	if err != nil {
 		return nil, err
 	}
-	eng := ooo.NewEngine(cfg, &ooo.MachineStream{M: m})
-	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
-	eng.WarmCode(len(m.Prog.Code))
-	if obs != nil {
-		obs(eng)
-	}
-	return meteredRun(eng, cfg, w.Cipher, feat)
+	return runEngine(&ooo.MachineStream{M: m}, len(m.Prog.Code), k.CtxBytes, cfg, w.Cipher, feat, obs)
 }
 
 // TimeDecrypt runs one decryption session (golden-encrypted ciphertext
@@ -161,34 +160,7 @@ func TimeDecrypt(cipher string, feat isa.Feature, cfg ooo.Config, sessionBytes i
 	if err != nil {
 		return nil, err
 	}
-	eng := ooo.NewEngine(cfg, src)
-	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
-	eng.WarmCode(codeLen)
-	return meteredRun(eng, cfg, cipher, feat)
-}
-
-// goldenCiphertext encrypts the workload with the golden cipher.
-func goldenCiphertext(w *Workload) ([]byte, error) {
-	c, err := ciphers.Lookup(w.Cipher)
-	if err != nil {
-		return nil, err
-	}
-	ct := make([]byte, len(w.Plain))
-	if c.Info.Stream {
-		s, err := c.NewStream(w.Key)
-		if err != nil {
-			return nil, err
-		}
-		s.XORKeyStream(ct, w.Plain)
-		return ct, nil
-	}
-	blk, err := c.NewBlock(w.Key)
-	if err != nil {
-		return nil, err
-	}
-	iv := append([]byte(nil), w.IV...)
-	ciphers.CBCEncrypt(blk, iv, ct, w.Plain)
-	return ct, nil
+	return runEngine(src, codeLen, k.CtxBytes, cfg, cipher, feat, nil)
 }
 
 // CountKernel returns the dynamic instruction count of the workload (the
@@ -212,13 +184,12 @@ func CountKernel(cipher string, feat isa.Feature, sessionBytes int, seed int64) 
 	}
 }
 
-// TimeSetup times a cipher's key-setup program.
+// TimeSetup times a cipher's key-setup program. Its context starts cold:
+// the program is what writes the expanded key.
 func TimeSetup(cipher string, feat isa.Feature, cfg ooo.Config, seed int64) (*ooo.Stats, error) {
 	src, codeLen, err := StreamSetup(cipher, feat, seed)
 	if err != nil {
 		return nil, err
 	}
-	eng := ooo.NewEngine(cfg, src)
-	eng.WarmCode(codeLen)
-	return meteredRun(eng, cfg, cipher, feat)
+	return runEngine(src, codeLen, 0, cfg, cipher, feat, nil)
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"cryptoarch/internal/isa"
-	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 )
 
@@ -21,44 +20,32 @@ type ProfiledRun struct {
 // the functional emulator, and a profiled replay is bit-identical to a
 // profiled live run (pinned in profile_test.go).
 func ProfileKernel(cipher string, feat isa.Feature, cfg ooo.Config, sessionBytes int, seed int64) (*ProfiledRun, error) {
-	k, err := kernels.Get(cipher)
-	if err != nil {
-		return nil, err
-	}
-	src, codeLen, err := StreamKernel(cipher, feat, sessionBytes, seed)
-	if err != nil {
-		return nil, err
-	}
-	eng := ooo.NewEngine(cfg, src)
-	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
-	eng.WarmCode(codeLen)
-	prof := eng.EnableProfile(codeLen)
-	st, err := meteredRun(eng, cfg, cipher, feat)
-	if err != nil {
-		return nil, err
-	}
-	return &ProfiledRun{Stats: st, Profile: prof, Prog: src.Program()}, nil
+	pr := &ProfiledRun{}
+	st, err := TimeKernelObserved(cipher, feat, cfg, sessionBytes, seed, pr.attach)
+	return pr.done(st, err)
 }
 
 // ProfileWorkload profiles a prepared workload on the live functional
 // emulator, bypassing the trace cache — the reference the replay-
 // concordance test compares ProfileKernel against.
 func ProfileWorkload(w *Workload, feat isa.Feature, cfg ooo.Config) (*ProfiledRun, error) {
-	k, err := kernels.Get(w.Cipher)
+	pr := &ProfiledRun{}
+	st, err := TimeWorkloadObserved(w, feat, cfg, pr.attach)
+	return pr.done(st, err)
+}
+
+// attach is the observer of a profiled run: it enables per-PC profiling
+// on the warmed engine.
+func (pr *ProfiledRun) attach(e *ooo.Engine) {
+	pr.Profile = e.EnableProfile()
+	pr.Prog = e.Program()
+}
+
+// done completes a profiled run with its statistics.
+func (pr *ProfiledRun) done(st *ooo.Stats, err error) (*ProfiledRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := Prepare(w, feat)
-	if err != nil {
-		return nil, err
-	}
-	eng := ooo.NewEngine(cfg, &ooo.MachineStream{M: m})
-	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
-	eng.WarmCode(len(m.Prog.Code))
-	prof := eng.EnableProfile(len(m.Prog.Code))
-	st, err := meteredRun(eng, cfg, w.Cipher, feat)
-	if err != nil {
-		return nil, err
-	}
-	return &ProfiledRun{Stats: st, Profile: prof, Prog: m.Prog}, nil
+	pr.Stats = st
+	return pr, nil
 }

@@ -7,6 +7,7 @@ import (
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/ooo"
+	"cryptoarch/internal/profview"
 )
 
 // TestProfileSumInvariant is the profiler's accounting pin: for every
@@ -42,7 +43,7 @@ func TestProfileSumInvariant(t *testing.T) {
 				t.Errorf("%s: retirement at out-of-range PC %d", cipher, pc)
 			}
 		}
-		if len(p.Hot(5)) == 0 {
+		if hot := (&profview.Source{Prog: pr.Prog, Prof: p, Stats: st}).Hot(5); len(hot) == 0 {
 			t.Errorf("%s: no hot PCs in a %d-byte session", cipher, session)
 		}
 	}
@@ -81,7 +82,7 @@ func TestProfileSumInvariantAllModels(t *testing.T) {
 	if exec == 0 {
 		t.Error("DF: no execute occupancy recorded")
 	}
-	if len(pr.Profile.Hot(5)) == 0 {
+	if hot := (&profview.Source{Prog: pr.Prog, Prof: pr.Profile, Stats: pr.Stats}).Hot(5); len(hot) == 0 {
 		t.Error("DF: Hot() found nothing despite execute occupancy")
 	}
 }

@@ -118,7 +118,7 @@ func SelfCheck(opts SelfCheckOptions) (*SelfCheckResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				golden, err := goldenCiphertext(w)
+				golden, err := k.Encrypt(w.Key, w.IV, w.Plain)
 				if err != nil {
 					return nil, err
 				}

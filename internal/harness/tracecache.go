@@ -241,7 +241,7 @@ func machineFor(k traceKey) (*emu.Machine, error) {
 		return nil, err
 	}
 	if k.mode == modeDecrypt {
-		ct, err := goldenCiphertext(w)
+		ct, err := kern.Encrypt(w.Key, w.IV, w.Plain)
 		if err != nil {
 			return nil, err
 		}

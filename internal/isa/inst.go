@@ -45,6 +45,3 @@ func (i *Inst) Sources(dst []Reg) []Reg {
 	}
 	return dst
 }
-
-// IsSboxLoad reports whether i is an SBOX table access.
-func (i *Inst) IsSboxLoad() bool { return i.Op == OpSBOX }

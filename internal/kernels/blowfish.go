@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/blowfish"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -24,6 +25,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "blowfish",
+		KeyBits:     128,
+		Rounds:      16,
+		Author:      "CryptSoft",
+		Example:     "Norton Utilities",
+		NewBlock:    func(key []byte) (ciphers.Block, error) { return blowfish.New(key) },
 		BlockBytes:  8,
 		Build:       func(f isa.Feature) *isa.Program { return buildBlowfish(f, false) },
 		BuildDec:    func(f isa.Feature) *isa.Program { return buildBlowfish(f, true) },

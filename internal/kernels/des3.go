@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/des"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -21,6 +22,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "3des",
+		KeyBits:     168,
+		Rounds:      48,
+		Author:      "CryptSoft",
+		Example:     "SSL, SSH",
+		NewBlock:    func(key []byte) (ciphers.Block, error) { return des.New3(key) },
 		BlockBytes:  8,
 		Build:       func(f isa.Feature) *isa.Program { return build3DES(f, false) },
 		BuildDec:    func(f isa.Feature) *isa.Program { return build3DES(f, true) },

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/idea"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -19,6 +20,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "idea",
+		KeyBits:     128,
+		Rounds:      8,
+		Author:      "Ascom",
+		Example:     "PGP, SSH",
+		NewBlock:    func(key []byte) (ciphers.Block, error) { return idea.New(key) },
 		BlockBytes:  8,
 		Build:       func(f isa.Feature) *isa.Program { return buildIDEA(f, false) },
 		BuildDec:    func(f isa.Feature) *isa.Program { return buildIDEA(f, true) },

@@ -10,13 +10,19 @@
 // golden-encrypted sessions, the paper's own cross-check) and a key-setup
 // program (for the Figure 6 setup-cost experiment) whose in-simulator
 // output is validated byte-for-byte against the golden Go key schedule.
+//
+// The kernel table is the repository's one cipher table: each record also
+// carries the cipher's Table 1 row and the constructor of its golden Go
+// model from internal/ciphers.
 package kernels
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cryptoarch/internal/check"
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -30,11 +36,24 @@ const (
 	OutAddr    = 0x300000 // ciphertext buffer
 )
 
-// Kernel describes one cipher's AXP64 implementation.
+// Kernel is the one descriptor of a cipher: its Table 1 row, its golden
+// Go model and its AXP64 programs. Adding a cipher takes one record.
 type Kernel struct {
-	// Name is the cipher name as registered in internal/ciphers.
+	// Name is the cipher name.
 	Name string
-	// BlockBytes is the kernel's processing granule (1 for RC4).
+	// KeyBits is the key size in bits as configured for the experiments
+	// (3DES counts its 168 effective bits; its raw key is KeyBytes).
+	KeyBits int
+	// Rounds is the number of kernel iterations per block.
+	Rounds int
+	// Author and Example are Table 1's author and example application.
+	Author, Example string
+	// NewBlock keys the golden block cipher; NewStream keys the golden
+	// stream cipher (RC4). Exactly one of them is set.
+	NewBlock  func(key []byte) (ciphers.Block, error)
+	NewStream func(key []byte) (ciphers.Stream, error)
+	// BlockBytes is the kernel's processing granule (1 for RC4); Table 1's
+	// block bits are 8*BlockBytes.
 	BlockBytes int
 	// Build assembles the encryption kernel at a feature level. The
 	// program follows the argument convention (in, out, len, ctx) and
@@ -83,9 +102,30 @@ func register(k *Kernel) {
 func Get(name string) (*Kernel, error) {
 	k, ok := registry[name]
 	if !ok {
-		return nil, fmt.Errorf("kernels: no kernel for cipher %q%s", name, check.Suggest(name, Names()))
+		return nil, fmt.Errorf("kernels: unknown cipher %q%s", name, check.Suggest(name, Names()))
 	}
 	return k, nil
+}
+
+// Encrypt returns the golden model's ciphertext of a session: plain in
+// CBC mode from iv for a block cipher (iv is not modified), or XORed
+// with the keystream for a stream cipher.
+func (k *Kernel) Encrypt(key, iv, plain []byte) ([]byte, error) {
+	ct := make([]byte, len(plain))
+	if k.NewStream != nil {
+		s, err := k.NewStream(key)
+		if err != nil {
+			return nil, err
+		}
+		s.XORKeyStream(ct, plain)
+		return ct, nil
+	}
+	b, err := k.NewBlock(key)
+	if err != nil {
+		return nil, err
+	}
+	ciphers.CBCEncrypt(b, slices.Clone(iv), ct, plain)
+	return ct, nil
 }
 
 // buildSafe assembles a program, converting builder panics (malformed
@@ -123,7 +163,8 @@ func (k *Kernel) ProgramFor(kind string, feat isa.Feature) (*isa.Program, error)
 	return buildSafe(k.Name, build, feat)
 }
 
-// Names lists registered kernels, sorted.
+// Names lists the registered ciphers, sorted, which is the paper's
+// presentation order.
 func Names() []string {
 	var out []string
 	for n := range registry {

@@ -3,6 +3,7 @@ package kernels
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cryptoarch/internal/emu"
@@ -10,12 +11,16 @@ import (
 	"cryptoarch/internal/simmem"
 )
 
+// TestRegistryComplete pins the cipher table: the paper's eight ciphers
+// in its presentation order, each with a complete kernel record, a
+// Table 1 row and exactly one golden model whose block size is the
+// kernel's.
 func TestRegistryComplete(t *testing.T) {
-	names := Names()
-	if len(names) != 8 {
-		t.Fatalf("expected 8 kernels, got %v", names)
+	want := []string{"3des", "blowfish", "idea", "mars", "rc4", "rc6", "rijndael", "twofish"}
+	if names := Names(); !slices.Equal(names, want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
-	for _, n := range names {
+	for _, n := range want {
 		k, err := Get(n)
 		if err != nil {
 			t.Fatal(err)
@@ -25,6 +30,39 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		if k.CtxBytes <= 0 || k.KeyBytes <= 0 || k.SetupLen <= 0 {
 			t.Errorf("%s: missing sizes", n)
+		}
+		if k.Rounds <= 0 || k.Author == "" || k.Example == "" {
+			t.Errorf("%s: incomplete Table 1 row %+v", n, k)
+		}
+		// 3DES's three 56-bit keys travel as 24 raw bytes.
+		wantBits := 8 * k.KeyBytes
+		if n == "3des" {
+			wantBits = 168
+		}
+		if k.KeyBits != wantBits {
+			t.Errorf("%s: KeyBits %d, want %d", n, k.KeyBits, wantBits)
+		}
+		if (k.NewBlock == nil) == (k.NewStream == nil) {
+			t.Errorf("%s: want exactly one of NewBlock and NewStream", n)
+			continue
+		}
+		key := make([]byte, k.KeyBytes)
+		if k.NewStream != nil {
+			if k.BlockBytes != 1 {
+				t.Errorf("%s: stream cipher with %d-byte blocks", n, k.BlockBytes)
+			}
+			if _, err := k.NewStream(key); err != nil {
+				t.Errorf("%s: %v", n, err)
+			}
+			continue
+		}
+		b, err := k.NewBlock(key)
+		if err != nil {
+			t.Errorf("%s: %v", n, err)
+			continue
+		}
+		if b.BlockSize() != k.BlockBytes {
+			t.Errorf("%s: golden block size %d bytes, kernel works in %d", n, b.BlockSize(), k.BlockBytes)
 		}
 	}
 }

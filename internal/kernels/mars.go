@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/mars"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -25,6 +26,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "mars",
+		KeyBits:     128,
+		Rounds:      16,
+		Author:      "IBM",
+		Example:     "AES Candidate",
+		NewBlock:    func(key []byte) (ciphers.Block, error) { return mars.New(key) },
 		BlockBytes:  16,
 		Build:       buildMARS,
 		BuildDec:    buildMARSDec,

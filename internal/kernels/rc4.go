@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/rc4"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -21,6 +22,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "rc4",
+		KeyBits:     128,
+		Rounds:      1,
+		Author:      "CryptSoft",
+		Example:     "SSL",
+		NewStream:   func(key []byte) (ciphers.Stream, error) { return rc4.New(key) },
 		BlockBytes:  1,
 		Build:       buildRC4,
 		BuildDec:    buildRC4, // XOR keystream: decryption is encryption

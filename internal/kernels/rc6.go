@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/rc6"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -19,6 +20,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "rc6",
+		KeyBits:     128,
+		Rounds:      rc6.Rounds,
+		Author:      "RSA Security",
+		Example:     "AES Candidate",
+		NewBlock:    func(key []byte) (ciphers.Block, error) { return rc6.New(key) },
 		BlockBytes:  16,
 		Build:       buildRC6,
 		BuildDec:    buildRC6Dec,

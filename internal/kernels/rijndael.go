@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/rijndael"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -26,6 +27,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "rijndael",
+		KeyBits:     128,
+		Rounds:      10,
+		Author:      "Rijmen",
+		Example:     "AES Candidate",
+		NewBlock:    func(key []byte) (ciphers.Block, error) { return rijndael.New(key) },
 		BlockBytes:  16,
 		Build:       buildRijndael,
 		BuildDec:    buildRijndaelDec,

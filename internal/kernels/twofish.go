@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"cryptoarch/internal/ciphers"
 	"cryptoarch/internal/ciphers/twofish"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/simmem"
@@ -24,6 +25,11 @@ const (
 func init() {
 	register(&Kernel{
 		Name:        "twofish",
+		KeyBits:     128,
+		Rounds:      16,
+		Author:      "Counterpane",
+		Example:     "AES Candidate",
+		NewBlock:    func(key []byte) (ciphers.Block, error) { return twofish.New(key) },
 		BlockBytes:  16,
 		Build:       buildTwofish,
 		BuildDec:    buildTwofishDec,

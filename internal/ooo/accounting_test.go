@@ -177,17 +177,27 @@ func TestStatsDerived(t *testing.T) {
 	}
 }
 
-// TestModelByName resolves every named model and the DF+ bottlenecks.
+// TestModelByName resolves every named model and the DF+ bottlenecks, in
+// any case, to the canonical configuration.
 func TestModelByName(t *testing.T) {
-	for _, name := range []string{"4W", "4W+", "8W+", "DF"} {
-		cfg, err := ooo.ModelByName(name)
+	for in, name := range map[string]string{
+		"4W": "4W", "4W+": "4W+", "8W+": "8W+", "DF": "DF",
+		"4w": "4W", "4w+": "4W+", "8w+": "8W+", "df": "DF",
+		"DF+Window": "DF+Window", "df+window": "DF+Window", "DF+ALIAS": "DF+Alias",
+	} {
+		cfg, err := ooo.ModelByName(in)
 		if err != nil || cfg.Name != name {
-			t.Errorf("ModelByName(%q) = %v, %v", name, cfg.Name, err)
+			t.Errorf("ModelByName(%q) = %v, %v; want %s", in, cfg.Name, err, name)
 		}
 	}
-	cfg, err := ooo.ModelByName("DF+Issue")
-	if err != nil || cfg.IssueWidth != ooo.FourWide.IssueWidth {
-		t.Errorf("ModelByName(DF+Issue) = %+v, %v", cfg, err)
+	for _, in := range []string{"DF+Issue", "df+issue", "Df+iSSue"} {
+		cfg, err := ooo.ModelByName(in)
+		if err != nil || cfg.Name != "DF+Issue" || cfg.IssueWidth != ooo.FourWide.IssueWidth {
+			t.Errorf("ModelByName(%q) = %+v, %v", in, cfg, err)
+		}
+	}
+	if _, err := ooo.ModelByName("df+nope"); err == nil {
+		t.Error("ModelByName accepted an unknown bottleneck")
 	}
 	if _, err := ooo.ModelByName("9W"); err == nil {
 		t.Error("ModelByName accepted an unknown model")

@@ -166,40 +166,30 @@ func BottleneckConfig(name string) (Config, error) {
 	return c, nil
 }
 
-// ModelByNameFold is ModelByName with case-insensitive matching: "4w+"
-// resolves like "4W+", "df+issue" like "DF+Issue". The original error is
-// returned when no casing matches.
-func ModelByNameFold(name string) (Config, error) {
-	if cfg, err := ModelByName(name); err == nil {
-		return cfg, nil
-	}
-	if cfg, err := ModelByName(strings.ToUpper(name)); err == nil {
-		return cfg, nil
-	}
-	if rest, ok := strings.CutPrefix(strings.ToUpper(name), "DF+"); ok && rest != "" {
-		if cfg, err := ModelByName("DF+" + strings.ToUpper(rest[:1]) + strings.ToLower(rest[1:])); err == nil {
-			return cfg, nil
-		}
-	}
-	return ModelByName(name)
-}
-
 // Bottlenecks lists the Figure 5 bars in presentation order.
 var Bottlenecks = []string{"Alias", "Branch", "Issue", "Mem", "Res", "Window", "All"}
 
 // Models lists the paper's named machine models.
 var Models = []Config{FourWide, FourWidePlus, EightWidePlus, Dataflow}
 
-// ModelByName resolves a machine-model name: 4W, 4W+, 8W+, DF, or a
-// Figure 5 single-bottleneck machine written DF+<name> (e.g. DF+Issue).
+// ModelByName resolves a machine-model name, ignoring case: 4W, 4W+, 8W+,
+// DF, or a Figure 5 single-bottleneck machine written DF+<name> (e.g.
+// DF+Issue, or df+issue).
 func ModelByName(name string) (Config, error) {
 	for _, m := range Models {
-		if m.Name == name {
+		if strings.EqualFold(m.Name, name) {
 			return m, nil
 		}
 	}
-	if strings.HasPrefix(name, "DF+") {
-		return BottleneckConfig(strings.TrimPrefix(name, "DF+"))
+	if len(name) > 3 && strings.EqualFold(name[:3], "DF+") {
+		bn := name[3:]
+		for _, b := range Bottlenecks {
+			if strings.EqualFold(b, bn) {
+				bn = b
+				break
+			}
+		}
+		return BottleneckConfig(bn)
 	}
 	return Config{}, fmt.Errorf("ooo: unknown machine model %q (want 4W, 4W+, 8W+, DF or DF+<bottleneck>)", name)
 }

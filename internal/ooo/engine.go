@@ -321,6 +321,9 @@ func NewEngine(cfg Config, src Stream) *Engine {
 	return e
 }
 
+// Program is the static program the engine's stream indexes.
+func (e *Engine) Program() *isa.Program { return e.src.Program() }
+
 // initLoop takes the reorder-buffer ring, consumer-node pool and fetch
 // queue the cycle loop runs on. Run calls it only when it enters the loop,
 // so a run timed by the program-order pass (progorder.go) takes none of

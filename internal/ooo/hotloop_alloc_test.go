@@ -11,7 +11,7 @@ import (
 // deep enough that every reusable structure (ROB ring, calendar slots,
 // ready queues, fetch ring, alias slabs for the hot pages) has reached its
 // steady-state capacity.
-func newSteadyEngine(t *testing.T, cfg Config, warmCycles int) (*Engine, int) {
+func newSteadyEngine(t *testing.T, cfg Config, warmCycles int) *Engine {
 	t.Helper()
 	k, err := kernels.Get("blowfish")
 	if err != nil {
@@ -39,7 +39,7 @@ func newSteadyEngine(t *testing.T, cfg Config, warmCycles int) (*Engine, int) {
 	if e.streamDone {
 		t.Fatal("stream exhausted during warmup; session too short for the test")
 	}
-	return e, len(m.Prog.Code)
+	return e
 }
 
 // TestSteadyStateZeroAllocs pins the tentpole property of the hot-loop
@@ -50,7 +50,7 @@ func newSteadyEngine(t *testing.T, cfg Config, warmCycles int) (*Engine, int) {
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, cfg := range []Config{FourWide, FourWidePlus, EightWidePlus} {
 		t.Run(cfg.Name, func(t *testing.T) {
-			e, _ := newSteadyEngine(t, cfg, 50_000)
+			e := newSteadyEngine(t, cfg, 50_000)
 			avg := testing.AllocsPerRun(40, func() {
 				for i := 0; i < 250; i++ {
 					e.step()
@@ -74,8 +74,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // per-cycle commit buffer up front; each cycle only indexes and appends
 // within capacity (commits per cycle never exceed IssueWidth).
 func TestProfilingZeroAllocs(t *testing.T) {
-	e, codeLen := newSteadyEngine(t, FourWide, 50_000)
-	p := e.EnableProfile(codeLen)
+	e := newSteadyEngine(t, FourWide, 50_000)
+	p := e.EnableProfile()
 	avg := testing.AllocsPerRun(40, func() {
 		for i := 0; i < 250; i++ {
 			e.step()
@@ -100,7 +100,7 @@ func TestProfilingZeroAllocs(t *testing.T) {
 // churn, so once the pool and ring are warm the DF model, like the finite
 // ones, simulates cycles with no heap allocation.
 func TestDFZeroAllocs(t *testing.T) {
-	e, _ := newSteadyEngine(t, Dataflow, 150_000)
+	e := newSteadyEngine(t, Dataflow, 150_000)
 	avg := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 250; i++ {
 			e.step()

@@ -39,7 +39,7 @@ func wantViolation(t *testing.T, e *Engine, checkName string) {
 // cleanEngine is a warmed mid-flight engine that passes CheckInvariants.
 func cleanEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	e, _ := newSteadyEngine(t, cfg, 20_000)
+	e := newSteadyEngine(t, cfg, 20_000)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("warmed engine fails invariants before injection: %v", err)
 	}
@@ -374,7 +374,7 @@ func TestRunawayStreamFails(t *testing.T) {
 func TestCheckedCatchesLiveCorruption(t *testing.T) {
 	cfg := FourWide
 	cfg.Checked = true
-	e, _ := newSteadyEngine(t, cfg, 20_000)
+	e := newSteadyEngine(t, cfg, 20_000)
 	in := check.NewInjector(4)
 	en := inFlight(t, e, in)
 	en.seq += 1 << 40

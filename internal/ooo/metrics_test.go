@@ -11,7 +11,7 @@ import (
 // completion, so the steady-state cycle loop stays allocation-free with
 // metrics attached.
 func TestMetricsZeroAllocs(t *testing.T) {
-	e, _ := newSteadyEngine(t, FourWide, 50_000)
+	e := newSteadyEngine(t, FourWide, 50_000)
 	e.SetMetrics(metrics.NewRegistry())
 	avg := testing.AllocsPerRun(40, func() {
 		for i := 0; i < 250; i++ {
@@ -33,7 +33,7 @@ func TestMetricsZeroAllocs(t *testing.T) {
 // totals, and the wall-time histogram observes one run.
 func TestRunMetered(t *testing.T) {
 	reg := metrics.NewRegistry()
-	e, _ := newSteadyEngine(t, FourWide, 0)
+	e := newSteadyEngine(t, FourWide, 0)
 	e.SetMetrics(reg)
 	st, err := e.Run()
 	if err != nil {
@@ -66,7 +66,7 @@ func TestRunMetered(t *testing.T) {
 // (the default), Run is the bare simulation — no telemetry side effects
 // to observe anywhere.
 func TestRunUnmetered(t *testing.T) {
-	e, _ := newSteadyEngine(t, FourWide, 0)
+	e := newSteadyEngine(t, FourWide, 0)
 	if e.metrics != nil {
 		t.Fatal("fresh engine has a metrics registry attached")
 	}

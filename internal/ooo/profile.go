@@ -1,7 +1,5 @@
 package ooo
 
-import "sort"
-
 // Per-PC cycle profiling. The commit-slot accounting in stats.go answers
 // "where did the slots go" per run; this file answers it per static
 // instruction. Every slot charged to the run-level StallBreakdown is also
@@ -85,67 +83,13 @@ func (p *Profile) TotalRetired() uint64 {
 	return t
 }
 
-// Weight is the ranking metric of one PC: its share of the slot budget,
-// or — on machines without a slot budget (infinite issue width) — its
-// execute-stage occupancy.
-func (p *Profile) Weight(pc int) uint64 {
-	if w := p.PCs[pc].SlotTotal(); w != 0 {
-		return w
-	}
-	if p.TotalSlots() == 0 {
-		return p.PCs[pc].ExecCycles
-	}
-	return 0
-}
-
-// Hot returns up to n PC indices ranked by descending Weight (ties broken
-// by ascending PC, so the ranking is deterministic). PCs with zero weight
-// are omitted.
-func (p *Profile) Hot(n int) []int {
-	// The slot-budget check is hoisted: Weight consults TotalSlots on
-	// zero-slot PCs, which is O(code) per call.
-	hasSlots := p.TotalSlots() != 0
-	weight := func(pc int) uint64 {
-		if hasSlots {
-			return p.PCs[pc].SlotTotal()
-		}
-		return p.PCs[pc].ExecCycles
-	}
-	idx := make([]int, 0, len(p.PCs))
-	for i := range p.PCs {
-		if weight(i) > 0 {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa, wb := weight(idx[a]), weight(idx[b])
-		if wa != wb {
-			return wa > wb
-		}
-		return idx[a] < idx[b]
-	})
-	if n > 0 && len(idx) > n {
-		idx = idx[:n]
-	}
-	return idx
-}
-
-// Share is the fraction of the run's slot budget charged to pc (0 when
-// the run charged no slots).
-func (p *Profile) Share(pc int) float64 {
-	t := p.TotalSlots()
-	if t == 0 {
-		return 0
-	}
-	return float64(p.PCs[pc].SlotTotal()) / float64(t)
-}
-
-// EnableProfile attaches a per-PC profile covering a program of codeLen
-// static instructions and returns it. Must be called before Run; the
-// returned profile is complete once Run returns. Profiling allocates the
-// dense PC array once, here, and nothing afterwards.
-func (e *Engine) EnableProfile(codeLen int) *Profile {
-	p := &Profile{Config: e.cfg.Name, PCs: make([]PCProfile, codeLen)}
+// EnableProfile attaches a per-PC profile covering every static
+// instruction of the engine's program and returns it. Must be called
+// before Run; the returned profile is complete once Run returns.
+// Profiling allocates the dense PC array once, here, and nothing
+// afterwards.
+func (e *Engine) EnableProfile() *Profile {
+	p := &Profile{Config: e.cfg.Name, PCs: make([]PCProfile, len(e.code))}
 	e.profPCs = p.PCs
 	// Slot charging is defined only for finite widths, mirroring account().
 	e.profSlots = !inf(e.cfg.IssueWidth)

@@ -108,35 +108,6 @@ func (b *StallBreakdown) DeltaSigned(base *StallBreakdown) [NumStallCauses]int64
 	return d
 }
 
-// Shares returns the per-cause slot shares of the breakdown keyed by cause
-// name, omitting zero causes. Nil when no slots were charged (infinite-
-// width machines), so JSON encodings elide the field instead of carrying
-// an empty object.
-func (b *StallBreakdown) Shares() map[string]float64 {
-	t := b.Slots()
-	if t == 0 {
-		return nil
-	}
-	m := make(map[string]float64)
-	for c := StallCause(0); c < NumStallCauses; c++ {
-		if b[c] > 0 {
-			m[c.String()] = float64(b[c]) / float64(t)
-		}
-	}
-	return m
-}
-
-// ParseStallCause resolves a cause name produced by StallCause.String —
-// the inverse used when decoding persisted share maps.
-func ParseStallCause(name string) (StallCause, error) {
-	for c := StallCause(0); c < NumStallCauses; c++ {
-		if stallNames[c] == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("ooo: unknown stall cause %q", name)
-}
-
 // Width returns the commit width implied by the run's slot accounting:
 // Stalls.Slots()/Cycles, which the slots == cycles×width invariant makes
 // exact on finite-width machines. It returns 0 for machines with no slot

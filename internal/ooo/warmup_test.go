@@ -140,7 +140,7 @@ func TestWarmupProfile(t *testing.T) {
 	eng := ooo.NewEngine(cfg, tr.Stream())
 	eng.WarmData(kernels.CtxAddr, k.CtxBytes)
 	eng.WarmCode(len(tr.Prog.Code))
-	prof := eng.EnableProfile(len(tr.Prog.Code))
+	prof := eng.EnableProfile()
 	eng.SetWarmup(total / 2)
 	st, err := eng.Run()
 	if err != nil {

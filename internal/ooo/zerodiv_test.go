@@ -22,13 +22,6 @@ func TestDerivedStatsZeroRuns(t *testing.T) {
 		}
 	}
 
-	p := &Profile{PCs: make([]PCProfile, 4)}
-	if v := p.Share(2); math.IsNaN(v) || v != 0 {
-		t.Errorf("Profile.Share on empty profile = %v, want 0", v)
-	}
-	if hot := p.Hot(5); len(hot) != 0 {
-		t.Errorf("Hot on empty profile returned %v", hot)
-	}
 	zero := &PCProfile{}
 	if c, n := zero.TopStall(); n != 0 || c != StallCommit {
 		t.Errorf("TopStall on zero PCProfile = %v/%d", c, n)

@@ -59,11 +59,11 @@ func FrameName(p *isa.Program, pc int) string {
 	return fmt.Sprintf("pc%d_%s", pc, isa.P(p.Code[pc].Op).Name)
 }
 
-// Hot ranks the weighted PCs the way `go tool pprof -top` will rank the
-// emitted samples — weight descending, ties by frame name ascending — so
-// the text table, the JSON report, and pprof output all agree on order.
-// (ooo.Profile.Hot breaks ties by ascending PC instead; views go through
-// this method.)
+// Hot is the one ranking of a profile's PCs: up to n weighted PCs ranked
+// the way `go tool pprof -top` will rank the emitted samples — weight
+// descending, ties by frame name ascending — so the text table, the JSON
+// report, and pprof output all agree on order. PCs with zero weight are
+// omitted.
 func (s *Source) Hot(n int) []int {
 	wt, _ := s.weights()
 	idx := sortedWeightedPCs(wt)

@@ -111,7 +111,9 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
-// TestDataflowViewsUseExecCycles checks the no-slot-budget fallback.
+// TestDataflowViewsUseExecCycles checks the no-slot-budget fallback, and
+// that a profile with no weight at all (an empty or drained run) ranks
+// nothing and reports shares of 0, never NaN.
 func TestDataflowViewsUseExecCycles(t *testing.T) {
 	s := profiledSource(t, ooo.Dataflow)
 	if s.Metric() != "exec_cycles" {
@@ -125,6 +127,28 @@ func TestDataflowViewsUseExecCycles(t *testing.T) {
 	r := profview.BuildReport(s, 5)
 	if len(r.Hot) == 0 || r.Hot[0].Weight == 0 {
 		t.Fatalf("DF report has no weighted hot PCs: %+v", r.Hot)
+	}
+
+	empty := &profview.Source{
+		Root:  s.Root,
+		Prog:  s.Prog,
+		Prof:  &ooo.Profile{PCs: make([]ooo.PCProfile, len(s.Prog.Code))},
+		Stats: &ooo.Stats{},
+	}
+	if hot := empty.Hot(5); len(hot) != 0 {
+		t.Errorf("Hot on an all-zero profile = %v, want none", hot)
+	}
+	r = profview.BuildReport(empty, 5)
+	if len(r.Hot) != 0 || r.TotalWeight != 0 {
+		t.Errorf("report of an all-zero profile: %+v", r)
+	}
+	if _, err := json.Marshal(r); err != nil {
+		t.Errorf("report of an all-zero profile does not marshal (NaN share?): %v", err)
+	}
+	b.Reset()
+	profview.Text(&b, empty, 5)
+	if strings.Contains(b.String(), "NaN") {
+		t.Errorf("text view of an all-zero profile prints NaN:\n%s", b.String())
 	}
 }
 
