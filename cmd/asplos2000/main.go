@@ -226,8 +226,8 @@ func run() int {
 		tc.Hits, tc.Misses, tc.Evictions)
 	if harness.CurrentStore() != nil {
 		ss := store.ReadStats()
-		fmt.Fprintf(os.Stderr, "store: trace hits=%d misses=%d result hits=%d misses=%d writes=%d evictions=%d corrupt=%d\n",
-			ss.TraceHits, ss.TraceMisses, ss.ResultHits, ss.ResultMisses, ss.Writes, ss.Evictions, ss.Corrupt)
+		fmt.Fprintf(os.Stderr, "store: result hits=%d misses=%d writes=%d evictions=%d corrupt=%d\n",
+			ss.ResultHits, ss.ResultMisses, ss.Writes, ss.Evictions, ss.Corrupt)
 	}
 	if s := harness.CurrentStore(); s != nil {
 		if deg, derr := s.Degraded(); deg {

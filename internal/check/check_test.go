@@ -82,10 +82,10 @@ func TestInjectorFlipBitChangesExactlyOneBit(t *testing.T) {
 
 func TestInjectorLog(t *testing.T) {
 	in := NewInjector(1)
-	in.Note(FaultTraceBit)
+	in.Note(FaultSboxCache)
 	in.Note(FaultROBEntry)
 	got := in.Injected()
-	if len(got) != 2 || got[0] != FaultTraceBit || got[1] != FaultROBEntry {
+	if len(got) != 2 || got[0] != FaultSboxCache || got[1] != FaultROBEntry {
 		t.Fatalf("Injected() = %v", got)
 	}
 }

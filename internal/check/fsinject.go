@@ -29,7 +29,7 @@ const (
 	FaultFSRename FaultClass = "fs-rename"
 	// FaultFSTorn makes WriteFile persist only a prefix while reporting
 	// success — detected by the entry header/checksum on the next load,
-	// which deletes the entry and re-records once.
+	// which deletes the entry so the caller recomputes it once.
 	FaultFSTorn FaultClass = "fs-torn-write"
 	// FaultFSFull makes WriteFile fail with ENOSPC — classified as a
 	// deterministic fault: no retry, immediate graceful degradation.

@@ -12,10 +12,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // NewSum64 returns the repo's bulk-integrity sum: CRC-32C (Castagnoli) in
 // the high 32 bits and CRC-32 (IEEE) in the low 32, both over the same
-// bytes. It guards the persistent store's entries on disk: the store sums
-// each payload as it writes it and verifies the sum on every load.
-// Traces retained in memory are not re-hashed; they are immutable between
-// those two points.
+// bytes. It guards the persistent store's result entries on disk: the
+// store sums each payload as it writes it and verifies the sum on every
+// load. Traces never leave the process and are not hashed.
 //
 // Each half catches every burst error up to 32 bits long, which covers
 // every change confined to one byte; random damage must fool both

@@ -35,3 +35,46 @@ func TestSum64KnownAnswer(t *testing.T) {
 		t.Fatalf("reset sum %#x size %d, want 0 and 8", h.Sum64(), h.Size())
 	}
 }
+
+// TestSum64DetectsBursts pins the burst guarantee the store's entry sum
+// rests on: flipping a run of 1-32 bits (first and last set, the middle
+// random) anywhere in a random 8 KB payload always changes NewSum64,
+// because each CRC half detects every such burst. Bit k of the stream is
+// bit k%8 of byte k/8, the order both reflected CRCs consume; every third
+// burst starts at or crosses a 16-byte boundary.
+func TestSum64DetectsBursts(t *testing.T) {
+	in := NewInjector(42)
+	payload := make([]byte, 8240)
+	for i := range payload {
+		payload[i] = byte(in.Uint64())
+	}
+	sum := func() uint64 {
+		h := NewSum64()
+		h.Write(payload)
+		return h.Sum64()
+	}
+	base := sum()
+	flip := func(start int, pattern uint64, width int) {
+		for k := 0; k < width; k++ {
+			if pattern>>k&1 != 0 {
+				payload[(start+k)/8] ^= 1 << ((start + k) % 8)
+			}
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		width := 1 + in.Intn(32)
+		pattern := uint64(1) | uint64(1)<<(width-1) | in.Uint64()&(1<<width-1)
+		start := in.Intn(len(payload)*8 - width + 1)
+		if trial%3 == 0 {
+			start = 128*(1+in.Intn(len(payload)/16-1)) - in.Intn(width)
+		}
+		flip(start, pattern, width)
+		if sum() == base {
+			t.Fatalf("trial %d: %d-bit burst %#x at bit %d not reflected in the sum", trial, width, pattern, start)
+		}
+		flip(start, pattern, width) // restore
+	}
+	if sum() != base {
+		t.Fatal("payload did not round-trip after restoring every burst")
+	}
+}

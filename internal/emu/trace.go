@@ -1,12 +1,6 @@
 package emu
 
-import (
-	"encoding/binary"
-	"unsafe"
-
-	"cryptoarch/internal/check"
-	"cryptoarch/internal/isa"
-)
+import "cryptoarch/internal/isa"
 
 // This file is the record/replay layer between the functional emulator and
 // the timing model. The paper's methodology is replay-heavy: one dynamic
@@ -16,11 +10,11 @@ import (
 // for functional execution again.
 
 // Version identifies the functional-emulation semantics generation, the
-// emu-side analogue of ooo.EngineVersion. The persistent trace store hashes
-// it into every trace key: bump it on any change to recorded-stream
+// emu-side analogue of ooo.EngineVersion. The persistent result store
+// hashes it into every result key: bump it on any change to emulated
 // semantics (instruction behavior, record packing, commit-path selection)
-// so traces recorded by older emulators become unreachable instead of
-// silently replaying stale dynamics.
+// so results computed by older emulators become unreachable instead of
+// silently serving stale numbers.
 const Version = "emu-v1"
 
 // TraceRec is one packed retired instruction: 16 bytes, no pointers. Only
@@ -37,46 +31,6 @@ type TraceRec struct {
 // TraceRecBytes is the packed size of one record.
 const TraceRecBytes = 16
 
-// EncodeTraceRec writes r's TraceRecBytes-byte encoding into b: Addr as a
-// little-endian uint64, then Idx | Br<<32 as a little-endian uint64. It is
-// the persistent store's trace payload format. RecBytes yields the same
-// bytes without encoding where the host layout allows.
-func EncodeTraceRec(b []byte, r *TraceRec) {
-	binary.LittleEndian.PutUint64(b[:8], r.Addr)
-	binary.LittleEndian.PutUint64(b[8:TraceRecBytes], uint64(r.Idx)|uint64(r.Br)<<32)
-}
-
-// DecodeTraceRec is the inverse of EncodeTraceRec.
-func DecodeTraceRec(b []byte) TraceRec {
-	w := binary.LittleEndian.Uint64(b[8:TraceRecBytes])
-	return TraceRec{Addr: binary.LittleEndian.Uint64(b[:8]), Idx: uint32(w), Br: uint32(w >> 32)}
-}
-
-// hostLayout reports whether a TraceRec's bytes in memory are its
-// EncodeTraceRec encoding: 16 bytes with no padding, fields in encoding
-// order, little-endian. It holds on every little-endian target Go
-// supports and is checked once, at init, on a probe record.
-var hostLayout = func() bool {
-	if unsafe.Sizeof(TraceRec{}) != TraceRecBytes {
-		return false
-	}
-	probe := TraceRec{Addr: 0x0807060504030201, Idx: 0x0c0b0a09, Br: 0x100f0e0d}
-	var enc [TraceRecBytes]byte
-	EncodeTraceRec(enc[:], &probe)
-	return *(*[TraceRecBytes]byte)(unsafe.Pointer(&probe)) == enc
-}()
-
-// RecBytes returns the EncodeTraceRec encoding of recs as a view of their
-// own memory, with no copy, and true — on hosts whose layout is that
-// encoding. Elsewhere it returns nil and false, and callers encode record
-// by record. The view aliases recs: writing one writes the other.
-func RecBytes(recs []TraceRec) ([]byte, bool) {
-	if !hostLayout {
-		return nil, false
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(recs))), len(recs)*TraceRecBytes), true
-}
-
 // Trace is a recorded committed-path instruction stream: the program it
 // was recorded from plus one packed record per retired instruction. A
 // Trace is immutable after Record returns and safe for any number of
@@ -89,39 +43,6 @@ type Trace struct {
 
 // Bytes is the retained size of the packed records.
 func (t *Trace) Bytes() int { return TraceRecBytes * len(t.Recs) }
-
-// Validate structurally checks the trace against its program: every
-// record must index a real instruction, branch outcomes may only appear
-// on branches, and branch targets must stay inside the program. A valid
-// trace is safe to replay; Validate is the decode-side guard fuzzed in
-// fuzz_test.go and is how corrupted traces fail loudly instead of
-// replaying garbage.
-func (t *Trace) Validate() error {
-	n := len(t.Prog.Code)
-	for i := range t.Recs {
-		pr := &t.Recs[i]
-		if int(pr.Idx) >= n {
-			return check.Violationf("trace-decode", 0,
-				"record %d: PC %d outside program %s [0,%d)", i, pr.Idx, t.Prog.Name, n)
-		}
-		p := isa.P(t.Prog.Code[pr.Idx].Op)
-		if pr.Br != 0 {
-			if !p.Branch {
-				return check.Violationf("trace-decode", 0,
-					"record %d: branch outcome %#x on non-branch %s at PC %d", i, pr.Br, p.Name, pr.Idx)
-			}
-			if targ := int(pr.Br >> 1); targ >= n {
-				return check.Violationf("trace-decode", 0,
-					"record %d: branch target %d outside program %s [0,%d)", i, targ, t.Prog.Name, n)
-			}
-		}
-		if pr.Addr != 0 && !p.Mem {
-			return check.Violationf("trace-decode", 0,
-				"record %d: effective address %#x on non-memory %s at PC %d", i, pr.Addr, p.Name, pr.Idx)
-		}
-	}
-	return nil
-}
 
 // Taken reports a branch record's direction (false for non-branches).
 func (r TraceRec) Taken() bool { return r.Br&1 != 0 }

@@ -13,8 +13,8 @@ import (
 	"cryptoarch/internal/store"
 )
 
-// This file threads the persistent store's result tier under the sweep's
-// run cache: getCell consults the store before dispatching a cell and
+// This file threads the persistent result store under the sweep's run
+// cache: getCell consults the store before dispatching a cell and
 // persists every successfully executed one, so a warm sweep re-simulates
 // only cells whose identity — engine version, emulator version, kernel
 // bytes, session parameters, machine configuration — the current tree
@@ -23,7 +23,7 @@ import (
 // be served where exact results are expected (the same honesty rule as
 // the -write refusal under a budget).
 
-// cellStoreKey derives the result-tier store key of a cell, or ok=false
+// cellStoreKey derives the store key of a cell, or ok=false
 // for cells whose identity cannot be derived (unknown cipher, kind without
 // a program). The key embeds the digest of the exact program the cell
 // executes, so any kernel edit provably misses.
@@ -98,7 +98,7 @@ type storedVP struct {
 	Edges int     `json:"edges"`
 }
 
-// storedCell is the result-tier payload: exactly one field group is set,
+// storedCell is the store payload: exactly one field group is set,
 // matching the cell kind (the same discipline as cellResult itself).
 type storedCell struct {
 	Stats *ooo.Stats `json:"stats,omitempty"`
@@ -163,8 +163,6 @@ func StoreReport() *Report {
 		Title:   "persistent content-addressed store counters for this invocation",
 		Columns: []string{"counter", "value"},
 		Rows: [][]string{
-			{"trace_hits", fmt.Sprintf("%d", st.TraceHits)},
-			{"trace_misses", fmt.Sprintf("%d", st.TraceMisses)},
 			{"result_hits", fmt.Sprintf("%d", st.ResultHits)},
 			{"result_misses", fmt.Sprintf("%d", st.ResultMisses)},
 			{"writes", fmt.Sprintf("%d", st.Writes)},

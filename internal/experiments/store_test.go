@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"os"
 	"testing"
 	"time"
 
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/metrics"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/store"
 )
@@ -91,9 +93,68 @@ func TestStoreWarmSweepEquivalence(t *testing.T) {
 	}
 }
 
+// TestStoreCorruptionRecompute drives the corruption protocol end to end
+// through the cell cache: a bit-flipped result entry is detected on load,
+// deleted, counted, recomputed once and written back with identical
+// Stats, and the healed entry then serves the cell without executing it.
+func TestStoreCorruptionRecompute(t *testing.T) {
+	defer harness.SetMetrics(harness.SetMetrics(metrics.NewRegistry()))
+	s := installTempStore(t)
+	runs := harness.Metrics().Counter("ooo.runs")
+	c := Cell{Kind: CellKernel, Cipher: "blowfish", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 512, Seed: 21}
+	cold := getCell(c, false)
+	if cold.err != nil {
+		t.Fatal(cold.err)
+	}
+	key, ok := cellStoreKey(c)
+	if !ok {
+		t.Fatal("no store key for a plain kernel cell")
+	}
+	path := s.EntryPath(store.TierResult, key)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("result was not stored: %v", err)
+	}
+	raw[len(raw)-5] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ResetCache()
+	before := runs.Value()
+	r := getCell(c, false)
+	if r.err != nil {
+		t.Fatalf("cell over a corrupt store entry: %v", r.err)
+	}
+	st := store.ReadStats()
+	if st.Corrupt != 1 || st.ResultMisses != 1 || st.ResultHits != 0 || st.Writes != 1 {
+		t.Fatalf("store stats %+v: want 1 corrupt entry counted as a miss, then 1 write", st)
+	}
+	if n := runs.Value() - before; n != 1 {
+		t.Fatalf("corrupt entry cost %d engine runs, want exactly 1", n)
+	}
+	if *r.stats != *cold.stats {
+		t.Fatalf("recomputed stats differ:\ncold %+v\nrecomputed %+v", cold.stats, r.stats)
+	}
+
+	// The healed entry now serves the cell with no execution.
+	ResetCache()
+	before = runs.Value()
+	r = getCell(c, false)
+	if st := store.ReadStats(); st.ResultHits != 1 || st.ResultMisses != 0 || st.Corrupt != 0 || st.Writes != 0 {
+		t.Fatalf("store stats %+v: healed entry did not hit cleanly", st)
+	}
+	if n := runs.Value() - before; n != 0 {
+		t.Fatalf("healed entry still ran the engine %d times", n)
+	}
+	if r.err != nil || *r.stats != *cold.stats {
+		t.Fatalf("healed entry served %+v (err %v), want %+v", r.stats, r.err, cold.stats)
+	}
+}
+
 // TestCellStoreKeySensitivity pins that every identity field of a cell
-// reaches its result-tier store key, so editing any of them provably
-// misses. Engine/emulator version and kernel-digest sensitivity are pinned
+// reaches its store key, so editing any of them provably misses.
+// Engine/emulator version and kernel-digest sensitivity are pinned
 // at the store layer (TestResultKeySensitivity, TestProgramDigestSensitivity);
 // here the cell-level plumbing is under test.
 func TestCellStoreKeySensitivity(t *testing.T) {

@@ -117,8 +117,8 @@ var (
 // getCell returns the completed result for c, executing it if this is the
 // first request. Concurrent requests for the same key share one execution.
 // With a persistent store installed, the singleflight body consults the
-// result tier before executing and write-through persists what it
-// executed, so a warm process re-simulates only cells the store missed.
+// store before executing and write-through persists what it executed, so
+// a warm process re-simulates only cells the store missed.
 // live is the sweep's single-use decision for a kernel cell (see
 // cellResult.live); it takes effect only if this request executes c.
 func getCell(c Cell, live bool) *cellResult {
@@ -383,8 +383,8 @@ type sessionKey struct {
 // whose encryption session no other cell of the grid streams. The trace
 // cache records a session so that its second and later streams replay it;
 // a session streamed once gains nothing from the recording — its records
-// are cloned, retained, evicted and written to the store for no replay —
-// so that cell runs on a live machine. Value-prediction cells always run
+// are cloned, retained and evicted for no replay — so that cell runs on a
+// live machine. Value-prediction cells always run
 // live and decrypt and setup cells stream other programs, so none of them
 // count.
 func singleUse(uniq []Cell) []bool {

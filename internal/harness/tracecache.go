@@ -58,11 +58,6 @@ type traceEntry struct {
 	// replay-prefix-then-go-live stream; later arrivals re-emulate live.
 	resume ooo.Stream
 
-	// fromStore marks an entry faulted in from the persistent store: the
-	// recording goroutine paid a disk load, not a functional emulation, so
-	// hit/miss classification counts it as a hit.
-	fromStore bool
-
 	lastUse uint64 // cache clock at last touch (LRU)
 }
 
@@ -198,8 +193,8 @@ func (c *tcCounters) reset() {
 // ResetTraceCache drops all cached traces and zeroes the statistics —
 // both the trace-cache counters and the persistent-store counters, so
 // cold/warm benchmark passes and worker-count equivalence loops start from
-// a clean count. The persistent store itself (if installed) keeps its
-// entries: dropping the in-memory cache must not forget what is on disk.
+// a clean count. A dropped trace is recorded again on its next request.
+// The persistent store (if installed) keeps its result entries.
 func ResetTraceCache() {
 	traces.mu.Lock()
 	defer traces.mu.Unlock()
@@ -257,29 +252,11 @@ func machineFor(k traceKey) (*emu.Machine, error) {
 // budget-fault path without minutes of emulation.
 var recordMaxInsts uint64
 
-// record fills e for the key (singleflight body): first by faulting a
-// complete trace in from the persistent store, then — on a store miss —
-// by running the functional emulation, write-through persisting the
-// result.
+// record fills e for the key (singleflight body) by running the
+// functional emulation.
 func (e *traceEntry) record(k traceKey) {
 	tl := CurrentTimeline()
-	// The storeload span covers the lookup itself — read, sum check,
-	// decode and Validate — so a store miss shows as a short span before
-	// record.
 	sp := metrics.NoSpan
-	if tl != nil && CurrentStore() != nil {
-		sp = tl.Begin("storeload", "store load "+k.cipher+"/"+k.feat.String())
-	}
-	if tr, codeLen, ok := loadTraceFromStore(k); ok {
-		traces.mu.Lock()
-		e.tr, e.codeLen, e.fromStore = tr, codeLen, true
-		traces.bytes += tr.Bytes()
-		traces.evictLocked()
-		traces.mu.Unlock()
-		tl.End(sp)
-		return
-	}
-	tl.End(sp)
 	if tl != nil {
 		sp = tl.Begin("record", "record "+k.cipher+"/"+k.feat.String())
 	}
@@ -312,8 +289,6 @@ func (e *traceEntry) record(k traceKey) {
 		// Too large to retain: the recorded prefix plus the still-running
 		// machine serve exactly one stream (which returns the borrowed
 		// buffer when drained), then the entry marks the key as live-only.
-		// Oversized traces are never persisted either — the resume path
-		// stays live-only, warm or cold.
 		e.resume = &releasingStream{s: tr.Resume(m), buf: tr.Recs}
 		traces.mu.Unlock()
 		return
@@ -328,7 +303,6 @@ func (e *traceEntry) record(k traceKey) {
 	traces.bytes += tr.Bytes()
 	traces.evictLocked()
 	traces.mu.Unlock()
-	saveTraceToStore(k, tr)
 }
 
 // evictLocked enforces the byte budget, dropping least-recently-used
@@ -357,10 +331,9 @@ func (c *traceCache) evictLocked() {
 
 // acquire touches the key's entry in the LRU and runs its singleflight
 // recording. It returns the entry and whether this request recorded it.
-// A retained trace is never written after record publishes it, so the
-// requests that share it read it as is: it is hashed only where it crosses
-// the disk boundary (Store.Put on the way out; Store.Get, then
-// Trace.Validate, on the way in).
+// A retained trace is never written after record publishes it and never
+// leaves the process, so the requests that share it read it as is,
+// unhashed.
 func (c *traceCache) acquire(k traceKey) (*traceEntry, bool) {
 	c.mu.Lock()
 	e := c.entries[k]
@@ -377,15 +350,13 @@ func (c *traceCache) acquire(k traceKey) (*traceEntry, bool) {
 	return e, recorded
 }
 
-// countReplay counts a request served by the entry's retained trace. A
-// request that recorded the trace paid the functional emulation — a miss;
-// any other request rides previously recorded state — a hit. A store
-// fault-in counts as a hit even for the request that triggered it: it paid
-// a disk load, not an emulation.
-func (e *traceEntry) countReplay(recorded bool) {
+// countReplay counts a request served by a retained trace. A request that
+// recorded the trace paid the functional emulation — a miss; any other
+// request rides previously recorded state — a hit.
+func countReplay(recorded bool) {
 	ctr := tcCtr()
 	ctr.replays.Inc()
-	if recorded && !e.fromStore {
+	if recorded {
 		ctr.misses.Inc()
 	} else {
 		ctr.hits.Inc()
@@ -407,7 +378,7 @@ func (c *traceCache) stream(k traceKey) (ooo.Stream, int, error) {
 	ctr := tcCtr()
 	switch {
 	case tr != nil:
-		e.countReplay(recorded)
+		countReplay(recorded)
 		return tr.Stream(), codeLen, nil
 	case resume != nil:
 		ctr.resumes.Inc()
@@ -444,7 +415,7 @@ func (c *traceCache) traceFor(k traceKey) (*emu.Trace, int, error) {
 	tr, codeLen := e.tr, e.codeLen
 	c.mu.Unlock()
 	if tr != nil {
-		e.countReplay(recorded)
+		countReplay(recorded)
 	}
 	return tr, codeLen, nil
 }

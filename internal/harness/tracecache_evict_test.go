@@ -7,7 +7,6 @@ import (
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/metrics"
-	"cryptoarch/internal/store"
 )
 
 // TestTraceBudgetEvicts pins LRU eviction under byte-budget pressure: with
@@ -65,33 +64,28 @@ func TestTraceBudgetEvicts(t *testing.T) {
 	}
 }
 
-// TestTraceFaultInEvictionRace faults traces in from the store on four
-// goroutines under a budget too small to hold them, so every fault-in
-// evicts while other goroutines fault in too. record must publish an
-// entry's trace under traces.mu, because evictLocked reads every entry's
-// trace under that lock, records still in flight included; under -race a
-// write outside it fails here. Afterwards the cache holds exactly the bytes
-// of the traces it retains, within budget, and every request was a store
-// hit: no live recording, no corrupt entry.
-func TestTraceFaultInEvictionRace(t *testing.T) {
+// TestTraceRecordEvictionRace streams 24 keys on four goroutines under a
+// budget too small to hold them, so recordings publish while other
+// goroutines evict. record must publish an entry's trace under traces.mu,
+// because evictLocked reads every entry's trace under that lock, records
+// still in flight included; under -race a write outside it fails here.
+// Afterwards the cache holds exactly the bytes of the traces it retains,
+// within budget, some traces were evicted, and every request counted as
+// one hit or one miss.
+func TestTraceRecordEvictionRace(t *testing.T) {
 	defer SetMetrics(SetMetrics(metrics.NewRegistry()))
-	installTempStore(t)
+	ResetTraceCache()
+	defer ResetTraceCache()
+	prev := traceBudgetBytes
+	defer func() { traceBudgetBytes = prev }()
+	traceBudgetBytes = 200 << 10
+
 	var keys []traceKey
 	for _, cipher := range kernels.Names() {
 		for seed := int64(1); seed <= 3; seed++ {
 			keys = append(keys, traceKey{cipher: cipher, feat: isa.FeatRot, session: 1024, seed: seed, mode: modeEncrypt})
 		}
 	}
-	for _, k := range keys {
-		if _, _, err := traces.stream(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ResetTraceCache()
-	prev := traceBudgetBytes
-	defer func() { traceBudgetBytes = prev }()
-	traceBudgetBytes = 200 << 10
-
 	const workers = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -126,10 +120,7 @@ func TestTraceFaultInEvictionRace(t *testing.T) {
 		t.Fatalf("cache accounts %d bytes, holds %d, budget %d", bytes, held, traceBudgetBytes)
 	}
 	st := ReadTraceCacheStats()
-	if want := workers * len(keys); st.Records != 0 || st.Misses != 0 || st.Hits != want || st.Evictions == 0 {
-		t.Fatalf("cache stats %+v: want %d hits, no records or misses, some evictions", st, want)
-	}
-	if ss := store.ReadStats(); ss.Corrupt != 0 || ss.TraceMisses != 0 {
-		t.Fatalf("store stats %+v: want every fault-in a clean hit", ss)
+	if want := workers * len(keys); st.Hits+st.Misses != want || st.Evictions == 0 {
+		t.Fatalf("cache stats %+v: want %d hits plus misses, some evictions", st, want)
 	}
 }

@@ -112,24 +112,10 @@ func TestChaosWriteErrorRetriesThenDegrades(t *testing.T) {
 	}
 }
 
-// chaosTiers lists both tiers: every write-side fault must hit a trace
-// entry the same way it hits a result entry.
-var chaosTiers = []Tier{TierResult, TierTrace}
-
-// chaosPayload returns a payload shaped like the tier's entries: a short
-// result, or 64 packed 16-byte trace records. The trace payload is long
-// enough that tearing the entry in half cuts inside the payload part, past
-// the header part.
-func chaosPayload(tier Tier) []byte {
-	if tier == TierResult {
-		return []byte("this payload will be torn in half by the injector")
-	}
-	b := make([]byte, 64*16)
-	for i := range b {
-		b[i] = byte(i * 7)
-	}
-	return b
-}
+// chaosPayload is long enough that tearing its entry in half cuts inside
+// the payload part, past the header part. The write-side tests run it in a
+// subtest named for the entry directory, resultDir.
+var chaosPayload = []byte("this payload will be torn in half by the injector")
 
 // TestChaosWriteFailureLeavesNoTempResidue is the temp-file-leak gate: a
 // mid-run write or rename failure must remove its temp file immediately,
@@ -150,92 +136,86 @@ func TestChaosWriteFailureLeavesNoTempResidue(t *testing.T) {
 		class check.FaultClass
 	}{{"rename", check.FaultFSRename}, {"write", check.FaultFSWrite}} {
 		t.Run(c.name, func(t *testing.T) {
-			for _, tier := range chaosTiers {
-				t.Run(tier.String(), func(t *testing.T) {
-					s, ffs, _ := openChaos(t)
-					ffs.Plan(c.class, 0, -1, syscall.EIO)
-					if err := s.Put(tier, "k1", chaosPayload(tier)); err == nil {
-						t.Fatalf("Put with failing %s reported success", c.name)
-					}
-					assertNoTemps(t, s)
-				})
-			}
+			t.Run(resultDir, func(t *testing.T) {
+				s, ffs, _ := openChaos(t)
+				ffs.Plan(c.class, 0, -1, syscall.EIO)
+				if err := s.Put(TierResult, "k1", chaosPayload); err == nil {
+					t.Fatalf("Put with failing %s reported success", c.name)
+				}
+				assertNoTemps(t, s)
+			})
 		})
 	}
 }
 
 func TestChaosTornWriteHealsOnLoad(t *testing.T) {
-	for _, tier := range chaosTiers {
-		t.Run(tier.String(), func(t *testing.T) {
-			s, ffs, in := openChaos(t)
-			payload := chaosPayload(tier)
-			ffs.Plan(check.FaultFSTorn, 0, 1, nil)
-			if err := s.Put(tier, "k1", payload); err != nil {
-				t.Fatalf("torn write must report success (that is the fault): %v", err)
-			}
-			// The header and payload are written as two parts, but the
-			// tear keeps the first half of the entry as a whole.
-			entry := append([]byte(entryMagic), make([]byte, 16)...)
-			binary.LittleEndian.PutUint64(entry[8:16], uint64(len(payload)))
-			binary.LittleEndian.PutUint64(entry[16:24], checksum(payload))
-			entry = append(entry, payload...)
-			raw, err := os.ReadFile(s.EntryPath(tier, "k1"))
-			if err != nil || !bytes.Equal(raw, entry[:len(entry)/2]) {
-				t.Fatalf("torn entry is not the first half of header|payload (%d of %d bytes, err %v)", len(raw), len(entry), err)
-			}
-			// The torn entry is on disk under a live key; the next load
-			// must catch it via the header/length check, delete it and
-			// report a miss.
-			if _, _, ok := s.Get(tier, "k1"); ok {
-				t.Fatal("Get returned a torn entry")
-			}
-			st := ReadStats()
-			if st.Corrupt != 1 {
-				t.Fatalf("corrupt = %d, want 1", st.Corrupt)
-			}
-			if st.Degraded != 0 {
-				t.Fatalf("torn write degraded the store: %+v", st)
-			}
-			// Re-record once: a clean Put under the same key must land and
-			// hit.
-			if err := s.Put(tier, "k1", payload); err != nil {
-				t.Fatal(err)
-			}
-			if got, _, ok := s.Get(tier, "k1"); !ok || string(got) != string(payload) {
-				t.Fatalf("healed entry: ok=%v got=%q", ok, got)
-			}
-			if got := in.Injected(); len(got) != 1 || got[0] != check.FaultFSTorn {
-				t.Fatalf("injected log = %v", got)
-			}
-		})
-	}
+	t.Run(resultDir, func(t *testing.T) {
+		s, ffs, in := openChaos(t)
+		payload := chaosPayload
+		ffs.Plan(check.FaultFSTorn, 0, 1, nil)
+		if err := s.Put(TierResult, "k1", payload); err != nil {
+			t.Fatalf("torn write must report success (that is the fault): %v", err)
+		}
+		// The header and payload are written as two parts, but the tear
+		// keeps the first half of the entry as a whole.
+		entry := append([]byte(entryMagic), make([]byte, 16)...)
+		binary.LittleEndian.PutUint64(entry[8:16], uint64(len(payload)))
+		binary.LittleEndian.PutUint64(entry[16:24], checksum(payload))
+		entry = append(entry, payload...)
+		raw, err := os.ReadFile(s.EntryPath(TierResult, "k1"))
+		if err != nil || !bytes.Equal(raw, entry[:len(entry)/2]) {
+			t.Fatalf("torn entry is not the first half of header|payload (%d of %d bytes, err %v)", len(raw), len(entry), err)
+		}
+		// The torn entry is on disk under a live key; the next load must
+		// catch it via the header/length check, delete it and report a
+		// miss.
+		if _, _, ok := s.Get(TierResult, "k1"); ok {
+			t.Fatal("Get returned a torn entry")
+		}
+		st := ReadStats()
+		if st.Corrupt != 1 {
+			t.Fatalf("corrupt = %d, want 1", st.Corrupt)
+		}
+		if st.Degraded != 0 {
+			t.Fatalf("torn write degraded the store: %+v", st)
+		}
+		// Recompute once: a clean Put under the same key must land and
+		// hit.
+		if err := s.Put(TierResult, "k1", payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, ok := s.Get(TierResult, "k1"); !ok || string(got) != string(payload) {
+			t.Fatalf("healed entry: ok=%v got=%q", ok, got)
+		}
+		if got := in.Injected(); len(got) != 1 || got[0] != check.FaultFSTorn {
+			t.Fatalf("injected log = %v", got)
+		}
+	})
 }
 
 func TestChaosENOSPCDegradesWithoutRetry(t *testing.T) {
-	for _, tier := range chaosTiers {
-		t.Run(tier.String(), func(t *testing.T) {
-			s, ffs, _ := openChaos(t)
-			ffs.Plan(check.FaultFSFull, 0, -1, nil)
-			err := s.Put(tier, "k1", chaosPayload(tier))
-			if err == nil {
-				t.Fatal("Put on a full disk reported success")
-			}
-			if !errors.Is(err, syscall.ENOSPC) {
-				t.Fatalf("err = %v, want ENOSPC in chain", err)
-			}
-			st := ReadStats()
-			if st.Retries != 0 {
-				t.Fatalf("retries = %d, want 0 — ENOSPC is deterministic, retrying is waste", st.Retries)
-			}
-			if st.Degraded != 1 {
-				t.Fatalf("degraded = %d, want 1", st.Degraded)
-			}
-			// The degraded store must keep absorbing traffic silently.
-			if err := s.Put(tier, "k2", []byte("dropped")); err != nil {
-				t.Fatalf("degraded Put errored: %v", err)
-			}
-		})
-	}
+	t.Run(resultDir, func(t *testing.T) {
+		s, ffs, _ := openChaos(t)
+		ffs.Plan(check.FaultFSFull, 0, -1, nil)
+		err := s.Put(TierResult, "k1", chaosPayload)
+		if err == nil {
+			t.Fatal("Put on a full disk reported success")
+		}
+		if !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("err = %v, want ENOSPC in chain", err)
+		}
+		st := ReadStats()
+		if st.Retries != 0 {
+			t.Fatalf("retries = %d, want 0 — ENOSPC is deterministic, retrying is waste", st.Retries)
+		}
+		if st.Degraded != 1 {
+			t.Fatalf("degraded = %d, want 1", st.Degraded)
+		}
+		// The degraded store must keep absorbing traffic silently.
+		if err := s.Put(TierResult, "k2", []byte("dropped")); err != nil {
+			t.Fatalf("degraded Put errored: %v", err)
+		}
+	})
 }
 
 // TestChaosFaultClassCoverage walks every FS fault class and asserts the

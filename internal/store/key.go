@@ -15,32 +15,11 @@ import (
 // in the store is ever "updated": a change to any identity field derives a
 // different key, so a stale entry can only ever be missed, never returned.
 
-// TraceIdentity is everything that determines a recorded trace bit for
-// bit: the functional emulator generation, the kernel program bytes (via
-// ProgramDigest), and the session parameters. Two processes that derive
-// equal keys are guaranteed — by construction, and pinned by the harness
-// fault-in equivalence tests — to record byte-identical traces.
-type TraceIdentity struct {
-	EmuVersion string // emu.Version: functional-emulation semantics
-	Cipher     string
-	Feat       string // feature level (norot/rot/opt)
-	ProgDigest string // ProgramDigest of the assembled kernel
-	Session    int    // session bytes (0 for setup programs)
-	Seed       int64
-	Mode       string // encrypt | decrypt | setup
-}
-
-// Key derives the trace-tier store key.
-func (id TraceIdentity) Key() string {
-	return metrics.HashKey("trace", strconv.Itoa(SchemaVersion), id.EmuVersion,
-		id.Cipher, id.Feat, id.ProgDigest,
-		strconv.Itoa(id.Session), strconv.FormatInt(id.Seed, 10), id.Mode)
-}
-
 // ResultIdentity is everything that determines a finished cell result: the
-// trace identity fields plus the timing-engine generation and the full
-// machine configuration (every knob, not just the model name — a config
-// edit that kept its name must still miss).
+// functional emulator and timing-engine generations, the kernel program
+// bytes (via ProgramDigest), the session parameters and the full machine
+// configuration (every knob, not just the model name — a config edit that
+// kept its name must still miss).
 type ResultIdentity struct {
 	EngineVersion string // ooo.EngineVersion: timing-model semantics
 	EmuVersion    string // emu.Version: functional-emulation semantics
@@ -53,7 +32,7 @@ type ResultIdentity struct {
 	Config        string // full rendering of the machine config fields
 }
 
-// Key derives the result-tier store key.
+// Key derives the store key.
 func (id ResultIdentity) Key() string {
 	return metrics.HashKey("result", strconv.Itoa(SchemaVersion),
 		id.EngineVersion, id.EmuVersion, id.Kind, id.Cipher, id.Feat, id.ProgDigest,

@@ -1,8 +1,7 @@
 // Package store is the persistent content-addressed result store: an
-// on-disk, two-tier cache (packed traces and finished cell results) under
-// .simstore/ that survives process exit, so a warm sweep re-simulates only
-// the cells the current diff invalidated and loads the rest in
-// milliseconds.
+// on-disk cache of finished cell results under .simstore/ that survives
+// process exit, so a warm sweep re-simulates only the cells the current
+// diff invalidated and loads the rest in milliseconds.
 //
 // Entries are addressed by FNV-1a content-hash keys over their complete
 // identity (key.go) — the emulator and engine versions, the kernel program
@@ -13,7 +12,7 @@
 // eviction against a byte budget) and corruption (a 64-bit CRC-32C/CRC-32
 // payload sum, check.NewSum64, taken by Put as it writes and verified on
 // every load; corrupt entries are deleted, counted, and reported as misses
-// so the caller re-records exactly once).
+// so the caller recomputes exactly once).
 //
 // Writes are atomic (temp file + rename into place), so a crashed or
 // concurrent writer can never leave a half-written entry under a live key;
@@ -44,8 +43,10 @@ import (
 // hashed into every key and stamped into MANIFEST.json; bumping it makes
 // every old entry unreachable and makes Open refuse old directories with
 // ErrStale rather than silently mixing formats. Version 2 replaced the
-// FNV-1a payload sum of version 1 with check.NewSum64.
-const SchemaVersion = 2
+// FNV-1a payload sum of version 1 with check.NewSum64. Version 3 dropped
+// the trace tier: a version-2 directory holds a trace/ subdirectory that
+// this code would neither index nor evict.
+const SchemaVersion = 3
 
 // ErrStale marks a store directory whose manifest disagrees with this
 // binary's schema (or a populated directory with no manifest at all).
@@ -53,28 +54,14 @@ const SchemaVersion = 2
 // and otherwise warns and runs storeless.
 var ErrStale = errors.New("store: directory schema is stale")
 
-// Tier selects one of the store's two namespaces.
+// Tier and the tier argument of Get, Put and EntryPath stay only for perfbench.
 type Tier int
 
-const (
-	// TierTrace holds packed emu.TraceRec payloads: loading one skips
-	// functional re-emulation.
-	TierTrace Tier = iota
-	// TierResult holds finished cell results (ooo.Stats + report
-	// fragments): loading one skips simulation entirely.
-	TierResult
-)
+// TierResult is the store's one namespace, finished cell results; it stays only for perfbench.
+const TierResult Tier = 0
 
-// dir returns the tier's subdirectory name.
-func (t Tier) dir() string {
-	if t == TierResult {
-		return "result"
-	}
-	return "trace"
-}
-
-// String names the tier for diagnostics.
-func (t Tier) String() string { return t.dir() }
+// resultDir is the subdirectory that holds the entries.
+const resultDir = "result"
 
 // Entry file layout: a 24-byte header followed by the payload. The magic
 // names the header format: a "simstor1" entry (FNV-1a sum) fails the magic
@@ -116,7 +103,7 @@ type Store struct {
 	budget  int64
 	bytes   int64
 	clock   uint64
-	entries map[string]*entry // rel path "tier/key" -> entry
+	entries map[string]*entry // key -> entry
 
 	fs     FS          // filesystem seam (osFS in production, FaultFS in chaos tests)
 	retry  retryPolicy // transient-error backoff
@@ -161,34 +148,28 @@ func OpenFS(dir string, budget int64, fsys FS) (*Store, error) {
 		return nil, err
 	}
 	type scanned struct {
-		rel   string
+		key   string
 		size  int64
 		mtime time.Time
 	}
 	var found []scanned
-	for _, t := range []Tier{TierTrace, TierResult} {
-		td := filepath.Join(dir, t.dir())
-		if err := fsys.MkdirAll(td, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+	rd := filepath.Join(dir, resultDir)
+	if err := fsys.MkdirAll(rd, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	des, err := fsys.ReadDir(rd)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	for _, de := range des {
+		if !de.Type().IsRegular() {
+			continue
 		}
-		des, err := fsys.ReadDir(td)
+		info, err := de.Info()
 		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+			continue
 		}
-		for _, de := range des {
-			if !de.Type().IsRegular() {
-				continue
-			}
-			info, err := de.Info()
-			if err != nil {
-				continue
-			}
-			found = append(found, scanned{
-				rel:   t.dir() + "/" + de.Name(),
-				size:  info.Size(),
-				mtime: info.ModTime(),
-			})
-		}
+		found = append(found, scanned{key: de.Name(), size: info.Size(), mtime: info.ModTime()})
 	}
 	// Sweep temp files a crashed writer may have left in the root. A live
 	// writer's temps are never here: mid-run write and rename failures
@@ -205,7 +186,7 @@ func OpenFS(dir string, budget int64, fsys FS) (*Store, error) {
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
 	for _, f := range found {
 		s.clock++
-		s.entries[f.rel] = &entry{size: f.size, lastUse: s.clock}
+		s.entries[f.key] = &entry{size: f.size, lastUse: s.clock}
 		s.bytes += f.size
 	}
 	s.mu.Lock()
@@ -229,12 +210,9 @@ func (s *Store) checkManifest() error {
 		}
 		return nil
 	case os.IsNotExist(err):
-		for _, t := range []Tier{TierTrace, TierResult} {
-			des, derr := s.fs.ReadDir(filepath.Join(s.root, t.dir()))
-			if derr == nil && len(des) > 0 {
-				return fmt.Errorf("%w: %s is populated but has no %s",
-					ErrStale, s.root, manifestFile)
-			}
+		if des, derr := s.fs.ReadDir(filepath.Join(s.root, resultDir)); derr == nil && len(des) > 0 {
+			return fmt.Errorf("%w: %s is populated but has no %s",
+				ErrStale, s.root, manifestFile)
 		}
 		mb, _ := json.Marshal(manifest{SchemaVersion: SchemaVersion})
 		return s.writeFileAtomic(path, append(mb, '\n'))
@@ -263,12 +241,15 @@ func (s *Store) Root() string {
 
 // EntryPath returns the file path an entry lives at (whether or not it
 // exists). Corruption tests use it to truncate and bit-flip entries.
-func (s *Store) EntryPath(t Tier, key string) string {
+func (s *Store) EntryPath(_ Tier, key string) string {
 	if s == nil {
 		return ""
 	}
-	return filepath.Join(s.root, t.dir(), key)
+	return s.path(key)
 }
+
+// path is the file an entry lives at.
+func (s *Store) path(key string) string { return filepath.Join(s.root, resultDir, key) }
 
 // BytesUsed returns the current accounted size of the store.
 func (s *Store) BytesUsed() int64 {
@@ -293,16 +274,16 @@ func (s *Store) Len() int {
 // Get loads an entry's payload, verifying the header (magic and length)
 // and the check.NewSum64 payload sum. A missing entry is a plain miss. A
 // corrupted, truncated or old-format entry is deleted from disk, counted
-// on the corrupt counter, and reported as a miss — the caller re-records
+// on the corrupt counter, and reported as a miss — the caller recomputes
 // and Puts, so corruption costs exactly one re-computation. The returned
 // sum is the payload checksum from the verified header.
-func (s *Store) Get(t Tier, key string) (payload []byte, sum uint64, ok bool) {
+func (s *Store) Get(_ Tier, key string) (payload []byte, sum uint64, ok bool) {
 	if s == nil || s.degraded.Load() {
 		return nil, 0, false
 	}
 	c := ctr()
 	start := time.Now()
-	path := s.EntryPath(t, key)
+	path := s.path(key)
 	var data []byte
 	err := s.retry.do(func() error {
 		var e error
@@ -310,7 +291,7 @@ func (s *Store) Get(t Tier, key string) (payload []byte, sum uint64, ok bool) {
 		return e
 	})
 	if err != nil {
-		c.missOf(t).Inc()
+		c.resultMisses.Inc()
 		if !errors.Is(err, fs.ErrNotExist) {
 			// A read that failed after retries (or deterministically) is a
 			// broken disk, not a cold cache: degrade rather than pay the
@@ -322,25 +303,24 @@ func (s *Store) Get(t Tier, key string) (payload []byte, sum uint64, ok bool) {
 	if len(data) < headerBytes ||
 		string(data[:8]) != entryMagic ||
 		binary.LittleEndian.Uint64(data[8:16]) != uint64(len(data)-headerBytes) {
-		s.dropCorrupt(t, key, path)
+		s.dropCorrupt(key, path)
 		return nil, 0, false
 	}
 	payload = data[headerBytes:]
 	sum = binary.LittleEndian.Uint64(data[16:24])
 	if checksum(payload) != sum {
-		s.dropCorrupt(t, key, path)
+		s.dropCorrupt(key, path)
 		return nil, 0, false
 	}
 	c.loadNS.Add(time.Since(start).Nanoseconds())
-	c.hitOf(t).Inc()
+	c.resultHits.Inc()
 	s.mu.Lock()
 	s.clock++
-	rel := t.dir() + "/" + key
-	if e := s.entries[rel]; e != nil {
+	if e := s.entries[key]; e != nil {
 		e.lastUse = s.clock
 	} else {
 		// Written by another process since Open; adopt it.
-		s.entries[rel] = &entry{size: int64(len(data)), lastUse: s.clock}
+		s.entries[key] = &entry{size: int64(len(data)), lastUse: s.clock}
 		s.bytes += int64(len(data))
 		s.evictLocked()
 	}
@@ -380,16 +360,15 @@ func (s *Store) Degraded() (bool, error) {
 // dropCorrupt deletes a failed-verification entry and counts it. The miss
 // counter advances too: the caller pays a re-computation either way, and
 // hit+miss must keep summing to requests.
-func (s *Store) dropCorrupt(t Tier, key, path string) {
+func (s *Store) dropCorrupt(key, path string) {
 	c := ctr()
 	c.corrupt.Inc()
-	c.missOf(t).Inc()
+	c.resultMisses.Inc()
 	s.fs.Remove(path)
 	s.mu.Lock()
-	rel := t.dir() + "/" + key
-	if e := s.entries[rel]; e != nil {
+	if e := s.entries[key]; e != nil {
 		s.bytes -= e.size
-		delete(s.entries, rel)
+		delete(s.entries, key)
 	}
 	s.mu.Unlock()
 }
@@ -405,7 +384,7 @@ func (s *Store) dropCorrupt(t Tier, key, path string) {
 // identical anyway. Transient write/rename failures are retried with
 // backoff; a persistent one degrades the store (future Puts become free
 // no-ops) and returns the error for counting.
-func (s *Store) Put(t Tier, key string, payload []byte) error {
+func (s *Store) Put(_ Tier, key string, payload []byte) error {
 	if s == nil || s.degraded.Load() {
 		return nil
 	}
@@ -418,18 +397,17 @@ func (s *Store) Put(t Tier, key string, payload []byte) error {
 	copy(hdr[:], entryMagic)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint64(hdr[16:24], checksum(payload))
-	if err := s.writeFileAtomic(s.EntryPath(t, key), hdr[:], payload); err != nil {
+	if err := s.writeFileAtomic(s.path(key), hdr[:], payload); err != nil {
 		s.degrade(err)
 		return fmt.Errorf("store: %w", err)
 	}
 	size := int64(headerBytes + len(payload))
 	s.mu.Lock()
 	s.clock++
-	rel := t.dir() + "/" + key
-	if e := s.entries[rel]; e != nil {
+	if e := s.entries[key]; e != nil {
 		s.bytes -= e.size
 	}
-	s.entries[rel] = &entry{size: size, lastUse: s.clock}
+	s.entries[key] = &entry{size: size, lastUse: s.clock}
 	s.bytes += size
 	s.evictLocked()
 	s.mu.Unlock()
@@ -466,19 +444,19 @@ func (s *Store) writeFileAtomic(path string, parts ...[]byte) error {
 }
 
 // evictLocked enforces the byte budget by deleting least-recently-used
-// entries (both tiers compete for the same budget). Caller holds s.mu.
+// entries. Caller holds s.mu.
 func (s *Store) evictLocked() {
 	for s.bytes > s.budget && len(s.entries) > 0 {
 		var victim string
 		var ve *entry
-		for rel, e := range s.entries {
+		for key, e := range s.entries {
 			if ve == nil || e.lastUse < ve.lastUse {
-				victim, ve = rel, e
+				victim, ve = key, e
 			}
 		}
 		s.bytes -= ve.size
 		delete(s.entries, victim)
-		s.fs.Remove(filepath.Join(s.root, filepath.FromSlash(victim)))
+		s.fs.Remove(s.path(victim))
 		ctr().evictions.Inc()
 	}
 }
@@ -487,7 +465,6 @@ func (s *Store) evictLocked() {
 // whenever the harness swaps the telemetry registry. All handles are nil
 // when telemetry is disabled; every update site then no-ops.
 type counters struct {
-	traceHits, traceMisses   *metrics.Counter
 	resultHits, resultMisses *metrics.Counter
 	writes, evictions        *metrics.Counter
 	corrupt                  *metrics.Counter
@@ -504,8 +481,6 @@ func init() { Rebind(nil) }
 // registry as everything else.
 func Rebind(r *metrics.Registry) {
 	ctrPtr.Store(&counters{
-		traceHits:    r.Counter("store.trace_hits"),
-		traceMisses:  r.Counter("store.trace_misses"),
 		resultHits:   r.Counter("store.result_hits"),
 		resultMisses: r.Counter("store.result_misses"),
 		writes:       r.Counter("store.writes"),
@@ -522,27 +497,13 @@ func Rebind(r *metrics.Registry) {
 // are nil when telemetry is off).
 func ctr() *counters { return ctrPtr.Load() }
 
-func (c *counters) hitOf(t Tier) *metrics.Counter {
-	if t == TierResult {
-		return c.resultHits
-	}
-	return c.traceHits
-}
-
-func (c *counters) missOf(t Tier) *metrics.Counter {
-	if t == TierResult {
-		return c.resultMisses
-	}
-	return c.traceMisses
-}
-
 // ResetCounters zeroes the store counters in place (handles stay valid).
 // experiments.ResetCache and the benchmarks use it so hit/miss state does
 // not leak across timed passes or worker-count configurations.
 func ResetCounters() {
 	c := ctr()
 	for _, k := range []*metrics.Counter{
-		c.traceHits, c.traceMisses, c.resultHits, c.resultMisses,
+		c.resultHits, c.resultMisses,
 		c.writes, c.evictions, c.corrupt, c.retries, c.degraded,
 		c.loadNS, c.writeNS,
 	} {
@@ -553,8 +514,7 @@ func ResetCounters() {
 // Stats is the stable JSON view of the store counters, assembled from the
 // registry the same way TraceCacheStats is.
 type Stats struct {
-	TraceHits    int           `json:"trace_hits"`
-	TraceMisses  int           `json:"trace_misses"`
+	TraceHits    int           `json:"trace_hits"` // always 0; stays only for perfbench
 	ResultHits   int           `json:"result_hits"`
 	ResultMisses int           `json:"result_misses"`
 	Writes       int           `json:"writes"`
@@ -570,8 +530,6 @@ type Stats struct {
 func ReadStats() Stats {
 	c := ctr()
 	return Stats{
-		TraceHits:    int(c.traceHits.Value()),
-		TraceMisses:  int(c.traceMisses.Value()),
 		ResultHits:   int(c.resultHits.Value()),
 		ResultMisses: int(c.resultMisses.Value()),
 		Writes:       int(c.writes.Value()),

@@ -33,10 +33,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	withCounters(t)
 	s := openTemp(t, 1<<20)
 	payload := []byte("the quick brown fox jumps over the lazy dog")
-	if err := s.Put(TierTrace, "aaaa", payload); err != nil {
+	if err := s.Put(TierResult, "aaaa", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, sum, ok := s.Get(TierTrace, "aaaa")
+	got, sum, ok := s.Get(TierResult, "aaaa")
 	if !ok {
 		t.Fatal("Get missed a just-Put entry")
 	}
@@ -46,33 +46,29 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if sum != checksum(payload) {
 		t.Fatalf("sum %#x, want %#x", sum, checksum(payload))
 	}
-	// The tiers are separate namespaces.
-	if _, _, ok := s.Get(TierResult, "aaaa"); ok {
-		t.Fatal("result tier returned a trace-tier entry")
-	}
 	st := ReadStats()
-	if st.TraceHits != 1 || st.ResultMisses != 1 || st.Writes != 1 {
-		t.Fatalf("stats %+v: want 1 trace hit, 1 result miss, 1 write", st)
+	if st.ResultHits != 1 || st.ResultMisses != 0 || st.Writes != 1 || st.TraceHits != 0 {
+		t.Fatalf("stats %+v: want 1 result hit, no miss, 1 write", st)
 	}
 }
 
 func TestGetMissOnAbsent(t *testing.T) {
 	withCounters(t)
 	s := openTemp(t, 1<<20)
-	if _, _, ok := s.Get(TierTrace, "nope"); ok {
+	if _, _, ok := s.Get(TierResult, "nope"); ok {
 		t.Fatal("Get hit an absent key")
 	}
-	if st := ReadStats(); st.TraceMisses != 1 || st.Corrupt != 0 {
-		t.Fatalf("stats %+v: want exactly 1 clean trace miss", st)
+	if st := ReadStats(); st.ResultMisses != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats %+v: want exactly 1 clean miss", st)
 	}
 }
 
 func TestNilStoreIsDisabled(t *testing.T) {
 	var s *Store
-	if _, _, ok := s.Get(TierTrace, "k"); ok {
+	if _, _, ok := s.Get(TierResult, "k"); ok {
 		t.Fatal("nil store hit")
 	}
-	if err := s.Put(TierTrace, "k", []byte("x")); err != nil {
+	if err := s.Put(TierResult, "k", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if s.Root() != "" || s.Len() != 0 || s.BytesUsed() != 0 {
@@ -82,7 +78,7 @@ func TestNilStoreIsDisabled(t *testing.T) {
 
 // TestCorruptionBitFlip pins the corruption protocol: a bit-flipped entry
 // is detected by the checksum, deleted, counted, and reported as a miss;
-// the caller's re-record (one Put) fully heals it.
+// the caller's recomputation (one Put) fully heals it.
 func TestCorruptionBitFlip(t *testing.T) {
 	withCounters(t)
 	s := openTemp(t, 1<<20)
@@ -109,12 +105,12 @@ func TestCorruptionBitFlip(t *testing.T) {
 	if st.Corrupt != 1 || st.ResultMisses != 1 {
 		t.Fatalf("stats %+v: want corrupt=1 and the corrupt read counted as a miss", st)
 	}
-	// Re-record once: the next Put+Get cycle is clean.
+	// Recompute once: the next Put+Get cycle is clean.
 	if err := s.Put(TierResult, "bbbb", payload); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, ok := s.Get(TierResult, "bbbb"); !ok || string(got) != string(payload) {
-		t.Fatal("re-recorded entry did not read back")
+		t.Fatal("recomputed entry did not read back")
 	}
 	if st := ReadStats(); st.Corrupt != 1 {
 		t.Fatalf("corrupt counter moved on the healed entry: %+v", st)
@@ -129,13 +125,13 @@ func TestCorruptionTruncate(t *testing.T) {
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	for i, cut := range []int{headerBytes - 8, headerBytes + len(payload)/2} {
 		key := string(rune('a'+i)) + "trunc"
-		if err := s.Put(TierTrace, key, payload); err != nil {
+		if err := s.Put(TierResult, key, payload); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Truncate(s.EntryPath(TierTrace, key), int64(cut)); err != nil {
+		if err := os.Truncate(s.EntryPath(TierResult, key), int64(cut)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := s.Get(TierTrace, key); ok {
+		if _, _, ok := s.Get(TierResult, key); ok {
 			t.Fatalf("cut=%d: Get returned a truncated entry", cut)
 		}
 	}
@@ -155,7 +151,7 @@ func TestCorruptionOldFormatEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("a trace payload written before the CRC sum")
+	payload := []byte("a result payload written before the CRC sum")
 	// The schema-1 payload sum, 64-bit FNV-1a, spelled out here because
 	// hash/fnv now serves only identity keys.
 	fnv := uint64(14695981039346656037)
@@ -167,7 +163,7 @@ func TestCorruptionOldFormatEntry(t *testing.T) {
 	binary.LittleEndian.PutUint64(raw[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint64(raw[16:24], fnv)
 	copy(raw[headerBytes:], payload)
-	path := s.EntryPath(TierTrace, "oldfmt")
+	path := s.EntryPath(TierResult, "oldfmt")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +175,13 @@ func TestCorruptionOldFormatEntry(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Fatalf("reopened store indexed %d entries, want the old-format one", s2.Len())
 	}
-	if got, _, ok := s2.Get(TierTrace, "oldfmt"); ok {
+	if got, _, ok := s2.Get(TierResult, "oldfmt"); ok {
 		t.Fatalf("Get served a schema-1 entry: %q", got)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("schema-1 entry not deleted from disk")
 	}
-	if st := ReadStats(); st.Corrupt != 1 || st.TraceMisses != 1 || st.TraceHits != 0 {
+	if st := ReadStats(); st.Corrupt != 1 || st.ResultMisses != 1 || st.ResultHits != 0 {
 		t.Fatalf("stats %+v: want the schema-1 entry counted as corrupt and as a miss", st)
 	}
 	if s2.Len() != 0 || s2.BytesUsed() != 0 {
@@ -203,24 +199,24 @@ func TestEviction(t *testing.T) {
 	s := openTemp(t, 2*(100+headerBytes)+10)
 	pay := make([]byte, 100)
 	for _, k := range []string{"k1", "k2"} {
-		if err := s.Put(TierTrace, k, pay); err != nil {
+		if err := s.Put(TierResult, k, pay); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch k1 so k2 becomes the LRU victim.
-	if _, _, ok := s.Get(TierTrace, "k1"); !ok {
+	if _, _, ok := s.Get(TierResult, "k1"); !ok {
 		t.Fatal("k1 missing before eviction")
 	}
-	if err := s.Put(TierTrace, "k3", pay); err != nil {
+	if err := s.Put(TierResult, "k3", pay); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Get(TierTrace, "k2"); ok {
+	if _, _, ok := s.Get(TierResult, "k2"); ok {
 		t.Fatal("LRU entry k2 survived an over-budget Put")
 	}
-	if _, _, ok := s.Get(TierTrace, "k1"); !ok {
+	if _, _, ok := s.Get(TierResult, "k1"); !ok {
 		t.Fatal("recently-used k1 was evicted")
 	}
-	if _, _, ok := s.Get(TierTrace, "k3"); !ok {
+	if _, _, ok := s.Get(TierResult, "k3"); !ok {
 		t.Fatal("just-written k3 was evicted")
 	}
 	if st := ReadStats(); st.Evictions != 1 {
@@ -230,10 +226,10 @@ func TestEviction(t *testing.T) {
 		t.Fatalf("store holds %d entries, want 2", s.Len())
 	}
 	// Entries that alone exceed the budget are not stored at all.
-	if err := s.Put(TierTrace, "huge", make([]byte, 4096)); err != nil {
+	if err := s.Put(TierResult, "huge", make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Get(TierTrace, "huge"); ok {
+	if _, _, ok := s.Get(TierResult, "huge"); ok {
 		t.Fatal("over-budget payload was stored")
 	}
 }
@@ -263,11 +259,11 @@ func TestReopenPersists(t *testing.T) {
 }
 
 // TestStaleManifest pins ErrStale on both stale shapes: a manifest naming
-// another schema (the previous one, 1, or a future one), and a populated
-// directory with no manifest at all. An empty no-manifest directory is a
-// fresh store, not an error.
+// another schema (an earlier one, 1 or 2, or a future one), and a
+// populated directory with no manifest at all. An empty no-manifest
+// directory is a fresh store, not an error.
 func TestStaleManifest(t *testing.T) {
-	for _, m := range []string{`{"schema_version":1}`, `{"schema_version":99}`} {
+	for _, m := range []string{`{"schema_version":1}`, `{"schema_version":2}`, `{"schema_version":99}`} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(m), 0o644); err != nil {
 			t.Fatal(err)
@@ -282,7 +278,7 @@ func TestStaleManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(TierTrace, "x", []byte("y")); err != nil {
+	if err := s.Put(TierResult, "x", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir2, manifestFile)); err != nil {
@@ -297,38 +293,10 @@ func TestStaleManifest(t *testing.T) {
 	}
 }
 
-// TestTraceKeySensitivity pins that every TraceIdentity field reaches the
-// key: flipping any one field must change it.
-func TestTraceKeySensitivity(t *testing.T) {
-	base := TraceIdentity{
-		EmuVersion: "emu-v1", Cipher: "blowfish", Feat: "rot",
-		ProgDigest: "00112233aabbccdd", Session: 4096, Seed: 12345, Mode: "encrypt",
-	}
-	mutants := map[string]TraceIdentity{
-		"EmuVersion": func(i TraceIdentity) TraceIdentity { i.EmuVersion = "emu-v2"; return i }(base),
-		"Cipher":     func(i TraceIdentity) TraceIdentity { i.Cipher = "rc4"; return i }(base),
-		"Feat":       func(i TraceIdentity) TraceIdentity { i.Feat = "opt"; return i }(base),
-		"ProgDigest": func(i TraceIdentity) TraceIdentity { i.ProgDigest = "ffffffffffffffff"; return i }(base),
-		"Session":    func(i TraceIdentity) TraceIdentity { i.Session = 1024; return i }(base),
-		"Seed":       func(i TraceIdentity) TraceIdentity { i.Seed = 54321; return i }(base),
-		"Mode":       func(i TraceIdentity) TraceIdentity { i.Mode = "decrypt"; return i }(base),
-	}
-	for field, m := range mutants {
-		if m.Key() == base.Key() {
-			t.Errorf("changing %s did not change the trace key", field)
-		}
-	}
-	if base.Key() != base.Key() {
-		t.Error("key derivation is not deterministic")
-	}
-	if len(base.Key()) != 16 || strings.ToLower(base.Key()) != base.Key() {
-		t.Errorf("key %q is not 16 lowercase hex digits", base.Key())
-	}
-}
-
-// TestResultKeySensitivity does the same for ResultIdentity — in
-// particular the engine version and the config rendering, the two fields
-// the invalidation story leans on hardest.
+// TestResultKeySensitivity pins that every ResultIdentity field reaches
+// the key — in particular the engine version and the config rendering,
+// the two fields the invalidation story leans on hardest — and that the
+// key is 16 lowercase hex digits, derived deterministically.
 func TestResultKeySensitivity(t *testing.T) {
 	base := ResultIdentity{
 		EngineVersion: "ooo-v1", EmuVersion: "emu-v1", Kind: "kernel",
@@ -351,11 +319,11 @@ func TestResultKeySensitivity(t *testing.T) {
 			t.Errorf("changing %s did not change the result key", field)
 		}
 	}
-	// The two tiers can never collide even on identical field values.
-	tr := TraceIdentity{EmuVersion: base.EmuVersion, Cipher: base.Cipher, Feat: base.Feat,
-		ProgDigest: base.ProgDigest, Session: base.Session, Seed: base.Seed, Mode: base.Kind}
-	if tr.Key() == base.Key() {
-		t.Error("trace and result keys collided on identical fields")
+	if base.Key() != base.Key() {
+		t.Error("key derivation is not deterministic")
+	}
+	if len(base.Key()) != 16 || strings.ToLower(base.Key()) != base.Key() {
+		t.Errorf("key %q is not 16 lowercase hex digits", base.Key())
 	}
 }
 
