@@ -45,7 +45,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 			r.Taken, r.Targ = taken, targ
 		}
 		pr := pack(&r)
-		tr := &Trace{Prog: prog, Recs: []TraceRec{pr}}
+		tr := &Trace{Prog: prog, chunks: [][]TraceRec{{pr}}, n: 1}
 		recs, ok := tr.Stream().Next()
 		if !ok || len(recs) != 1 {
 			t.Fatalf("round-trip stream delivered %d records, want 1", len(recs))

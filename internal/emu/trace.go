@@ -1,6 +1,10 @@
 package emu
 
-import "cryptoarch/internal/isa"
+import (
+	"slices"
+
+	"cryptoarch/internal/isa"
+)
 
 // This file is the record/replay layer between the functional emulator and
 // the timing model. The paper's methodology is replay-heavy: one dynamic
@@ -31,18 +35,30 @@ type TraceRec struct {
 // TraceRecBytes is the packed size of one record.
 const TraceRecBytes = 16
 
+// TraceChunkRecs is how many records one trace chunk holds: 1 MB. A
+// Trace keeps its records in chunks of this size, every one full but the
+// last, which is cut to the records it holds; Record fills them in place,
+// so a session costs its own records and no growth copies, and a replay
+// hands out one chunk per Next.
+const TraceChunkRecs = 1 << 16
+
 // Trace is a recorded committed-path instruction stream: the program it
-// was recorded from plus one packed record per retired instruction. A
-// Trace is immutable after Record returns and safe for any number of
-// concurrent ReplayStreams. Nothing re-hashes it in memory: the harness
-// pins by test that replay never writes a retained trace.
+// was recorded from plus one packed record per retired instruction, held
+// in TraceChunkRecs-record chunks. A Trace is immutable after Record
+// returns and safe for any number of concurrent ReplayStreams. Nothing
+// re-hashes it in memory: the harness pins by test that replay never
+// writes a retained trace.
 type Trace struct {
-	Prog *isa.Program
-	Recs []TraceRec
+	Prog   *isa.Program
+	chunks [][]TraceRec
+	n      int // records over all chunks
 }
 
+// Len is the number of records in the trace.
+func (t *Trace) Len() int { return t.n }
+
 // Bytes is the retained size of the packed records.
-func (t *Trace) Bytes() int { return TraceRecBytes * len(t.Recs) }
+func (t *Trace) Bytes() int { return TraceRecBytes * t.n }
 
 // Taken reports a branch record's direction (false for non-branches).
 func (r TraceRec) Taken() bool { return r.Br&1 != 0 }
@@ -74,24 +90,37 @@ func pack(r *Rec) TraceRec {
 }
 
 // Record steps m until HALT or until max instructions have been recorded
-// (max <= 0 means unbounded), appending packed records to buf (whose
-// capacity is reused). It returns the trace and whether the program ran to
-// completion. On false the trace is a prefix and m is positioned exactly
-// after the last recorded instruction, so Resume can continue it live.
-// A machine that faults (m.Err() != nil — budget exceeded, runaway PC)
-// reports complete == false; callers must consult m.Err() before retaining
-// the truncated trace.
-func Record(m *Machine, max int, buf []TraceRec) (*Trace, bool) {
-	for {
-		if max > 0 && len(buf) >= max {
-			return &Trace{Prog: m.Prog, Recs: buf}, false
+// (max <= 0 means unbounded), packing the records into freshly allocated
+// chunks. It returns the trace and whether the program ran to completion.
+// On false the trace is a prefix and m is positioned exactly after the
+// last recorded instruction, so Resume can continue it live. A machine
+// that faults (m.Err() != nil — budget exceeded, runaway PC) reports
+// complete == false; callers must consult m.Err() before retaining the
+// truncated trace.
+func Record(m *Machine, max int) (*Trace, bool) {
+	t := &Trace{Prog: m.Prog}
+	for max <= 0 || t.n < max {
+		if m.Halted() {
+			return t, m.Err() == nil
 		}
-		r := m.Step()
-		if r == nil {
-			return &Trace{Prog: m.Prog, Recs: buf}, m.Err() == nil
+		want := TraceChunkRecs
+		if max > 0 {
+			want = min(want, max-t.n)
 		}
-		buf = append(buf, pack(r))
+		c := m.StepPacked(make([]TraceRec, 0, want))
+		if len(c) < want {
+			// The machine stopped: keep the short last chunk at its
+			// exact size, not a chunk's worth of capacity.
+			if len(c) > 0 {
+				t.chunks = append(t.chunks, slices.Clone(c))
+				t.n += len(c)
+			}
+			return t, m.Err() == nil
+		}
+		t.chunks = append(t.chunks, c)
+		t.n += len(c)
 	}
+	return t, false
 }
 
 // LiveBatchRecs is how many instructions a live stream steps and packs per
@@ -114,52 +143,51 @@ func (m *Machine) StepPacked(buf []TraceRec) []TraceRec {
 }
 
 // ReplayStream hands a Trace's records to the timing model. It satisfies
-// ooo.Stream: Next yields the remaining records as one sub-slice of the
-// trace's immutable slab, so replay copies and decodes nothing. Records
-// carry no result values — value-prediction experiments must run the live
-// emulator.
+// ooo.Stream: Next yields the remaining records one chunk at a time, each
+// a sub-slice of the trace's immutable chunks, so replay copies and
+// decodes nothing. Records carry no result values — value-prediction
+// experiments must run the live emulator.
 type ReplayStream struct {
-	prog *isa.Program
-	recs []TraceRec
+	t        *Trace
+	pos, end int // next record to deliver, one past the last
 }
 
 // Stream starts a fresh replay of the trace.
 func (t *Trace) Stream() *ReplayStream {
-	return &ReplayStream{prog: t.Prog, recs: t.Recs}
+	return &ReplayStream{t: t, end: t.n}
 }
 
 // StreamAt starts a replay of the half-open record window [start, end).
 // Interval sampling uses it to replay each window (warmup prefix plus
-// measured body) over the shared immutable record slab. Bounds are
-// clamped to the trace; an empty or inverted window yields an immediately
-// exhausted stream.
+// measured body) over the shared immutable chunks. Bounds are clamped to
+// the trace; an empty or inverted window yields an immediately exhausted
+// stream.
 func (t *Trace) StreamAt(start, end int) *ReplayStream {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(t.Recs) {
-		end = len(t.Recs)
-	}
-	if start > end {
-		start = end
-	}
-	return &ReplayStream{prog: t.Prog, recs: t.Recs[start:end]}
+	end = min(end, t.n)
+	start = min(max(start, 0), end)
+	return &ReplayStream{t: t, pos: start, end: end}
 }
 
 // Program is the static program the records index.
-func (s *ReplayStream) Program() *isa.Program { return s.prog }
+func (s *ReplayStream) Program() *isa.Program { return s.t.Prog }
 
 // InstCount is the number of instructions the stream has yet to deliver;
 // the timing engine reads it before the first Next to pre-size its
 // in-flight ring.
-func (s *ReplayStream) InstCount() int { return len(s.recs) }
+func (s *ReplayStream) InstCount() int { return s.end - s.pos }
 
-// Next implements the stream contract: every remaining record at once, or
-// false at end. The slice aliases the trace and must not be written.
+// Next implements the stream contract: the rest of the chunk holding the
+// next record, cut at the window end, or false at end. The slice aliases
+// the trace and must not be written.
 func (s *ReplayStream) Next() ([]TraceRec, bool) {
-	recs := s.recs
-	s.recs = nil
-	return recs, len(recs) > 0
+	if s.pos >= s.end {
+		return nil, false
+	}
+	c := s.t.chunks[s.pos/TraceChunkRecs]
+	lo := s.pos % TraceChunkRecs
+	recs := c[lo:min(len(c), lo+s.end-s.pos)]
+	s.pos += len(recs)
+	return recs, true
 }
 
 // ResumeStream replays a recorded prefix and then continues stepping the
@@ -175,15 +203,15 @@ type ResumeStream struct {
 // Resume builds a stream over the (partial) trace followed by live
 // execution of m, which must be the machine Record stopped in.
 func (t *Trace) Resume(m *Machine) *ResumeStream {
-	return &ResumeStream{rs: ReplayStream{prog: t.Prog, recs: t.Recs}, m: m}
+	return &ResumeStream{rs: *t.Stream(), m: m}
 }
 
 // Program is the static program the records index.
-func (s *ResumeStream) Program() *isa.Program { return s.rs.prog }
+func (s *ResumeStream) Program() *isa.Program { return s.rs.t.Prog }
 
-// Next implements the stream contract: the recorded prefix, then batches
-// of up to LiveBatchRecs live steps. A live batch is valid until the
-// following Next call.
+// Next implements the stream contract: the recorded prefix chunk by
+// chunk, then batches of up to LiveBatchRecs live steps. A live batch is
+// valid until the following Next call.
 func (s *ResumeStream) Next() ([]TraceRec, bool) {
 	if recs, ok := s.rs.Next(); ok {
 		return recs, true

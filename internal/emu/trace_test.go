@@ -16,8 +16,8 @@ func newPair(t testing.TB, name string, feat isa.Feature, session int) (*emu.Mac
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := make([]byte, 16)
-	iv := make([]byte, 8)
+	key := make([]byte, k.KeyBytes)
+	iv := make([]byte, max(k.BlockBytes, 8))
 	pt := make([]byte, session)
 	for i := range pt {
 		pt[i] = byte(i*7 + 1)
@@ -89,29 +89,31 @@ func TestReplayMatchesLive(t *testing.T) {
 	for _, name := range []string{"blowfish", "rc4", "idea"} {
 		t.Run(name, func(t *testing.T) {
 			rm, lm := newPair(t, name, isa.FeatRot, 256)
-			tr, done := emu.Record(rm, 0, nil)
+			tr, done := emu.Record(rm, 0)
 			if !done {
 				t.Fatal("unbounded Record reported an incomplete run")
 			}
-			if len(tr.Recs) == 0 {
+			if tr.Len() == 0 {
 				t.Fatal("empty trace")
 			}
-			if tr.Bytes() != emu.TraceRecBytes*len(tr.Recs) {
-				t.Fatalf("Bytes() = %d, want %d", tr.Bytes(), emu.TraceRecBytes*len(tr.Recs))
+			if tr.Bytes() != emu.TraceRecBytes*tr.Len() {
+				t.Fatalf("Bytes() = %d, want %d", tr.Bytes(), emu.TraceRecBytes*tr.Len())
 			}
 			s := tr.Stream()
-			if s.InstCount() != len(tr.Recs) {
-				t.Fatalf("InstCount = %d, want %d", s.InstCount(), len(tr.Recs))
+			if s.InstCount() != tr.Len() {
+				t.Fatalf("InstCount = %d, want %d", s.InstCount(), tr.Len())
 			}
 			if s.Program() != tr.Prog {
 				t.Fatal("replay stream does not expose the trace's program")
 			}
-			if first, _ := tr.Stream().Next(); &first[0] != &tr.Recs[0] {
-				t.Fatal("replay copied the trace instead of handing out its slab")
+			a, _ := tr.Stream().Next()
+			b, _ := tr.Stream().Next()
+			if &a[0] != &b[0] {
+				t.Fatal("replay copied the trace instead of handing out its chunks")
 			}
 			recs := drain(t, s)
-			if len(recs) != len(tr.Recs) {
-				t.Fatalf("replayed %d recs, trace holds %d", len(recs), len(tr.Recs))
+			if len(recs) != tr.Len() {
+				t.Fatalf("replayed %d recs, trace holds %d", len(recs), tr.Len())
 			}
 			matchLive(t, lm, tr.Prog, recs)
 		})
@@ -119,63 +121,83 @@ func TestReplayMatchesLive(t *testing.T) {
 }
 
 // TestPartialRecordResume records only a prefix and checks Resume delivers
-// the identical full stream (replayed prefix + live continuation).
+// the identical full stream (replayed prefix + live continuation): once
+// inside the first chunk, and once with the prefix ending one record into
+// a second chunk.
 func TestPartialRecordResume(t *testing.T) {
-	rm, lm := newPair(t, "blowfish", isa.FeatRot, 256)
-	const max = 1000
-	tr, done := emu.Record(rm, max, nil)
-	if done {
-		t.Fatal("expected a truncated record for this session length")
+	for _, c := range []struct{ session, max int }{{256, 1000}, {4096, emu.TraceChunkRecs + 1}} {
+		rm, lm := newPair(t, "blowfish", isa.FeatRot, c.session)
+		tr, done := emu.Record(rm, c.max)
+		if done {
+			t.Fatalf("%d B: expected a truncated record for this session length", c.session)
+		}
+		if tr.Len() != c.max {
+			t.Fatalf("%d B: prefix length %d, want %d", c.session, tr.Len(), c.max)
+		}
+		s := tr.Resume(rm)
+		recs := drain(t, s)
+		matchLive(t, lm, tr.Prog, recs)
+		if len(recs) <= c.max {
+			t.Fatalf("%d B: resume delivered only %d recs, expected more than the %d-rec prefix", c.session, len(recs), c.max)
+		}
+		if err := s.Err(); err != nil {
+			t.Fatalf("%d B: resume faulted: %v", c.session, err)
+		}
 	}
-	if len(tr.Recs) != max {
-		t.Fatalf("prefix length %d, want %d", len(tr.Recs), max)
+}
+
+// TestRecordFillsChunks pins the chunk layout a replay hands out: a
+// trace longer than one chunk streams as full TraceChunkRecs-record
+// batches and one shorter last batch, the records a live machine
+// retires.
+func TestRecordFillsChunks(t *testing.T) {
+	rm, lm := newPair(t, "blowfish", isa.FeatRot, 4096)
+	tr, done := emu.Record(rm, 0)
+	if !done {
+		t.Fatal("record incomplete")
 	}
-	s := tr.Resume(rm)
-	recs := drain(t, s)
+	n := tr.Len()
+	if n <= emu.TraceChunkRecs || n%emu.TraceChunkRecs == 0 {
+		t.Fatalf("%d records: want a trace that ends inside its second or later chunk", n)
+	}
+	s := tr.Stream()
+	var recs []emu.TraceRec
+	for left := n; left > 0; {
+		batch, ok := s.Next()
+		if want := min(left, emu.TraceChunkRecs); !ok || len(batch) != want {
+			t.Fatalf("batch at record %d: %d records (ok %v), want %d", n-left, len(batch), ok, want)
+		}
+		recs = append(recs, batch...)
+		left -= len(batch)
+	}
+	if _, ok := s.Next(); ok {
+		t.Fatal("stream overruns the trace")
+	}
 	matchLive(t, lm, tr.Prog, recs)
-	if len(recs) <= max {
-		t.Fatalf("resume delivered only %d recs, expected more than the %d-rec prefix", len(recs), max)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("resume faulted: %v", err)
-	}
 }
 
-// TestRecordReusesBuffer pins the record-into-reusable-buffer contract:
-// a buffer with enough capacity is not reallocated.
-func TestRecordReusesBuffer(t *testing.T) {
-	rm, _ := newPair(t, "rc4", isa.FeatNoRot, 64)
-	tr, _ := emu.Record(rm, 0, nil)
-	buf := tr.Recs[:0]
-	rm2, _ := newPair(t, "rc4", isa.FeatNoRot, 64)
-	tr2, done := emu.Record(rm2, 0, buf)
-	if !done {
-		t.Fatal("second record incomplete")
-	}
-	if &tr2.Recs[0] != &tr.Recs[0] {
-		t.Fatal("Record reallocated a buffer that had sufficient capacity")
-	}
-}
-
-// refTrace records the complete blowfish stream once for comparison.
-func refTrace(t testing.TB, session int) *emu.Trace {
-	t.Helper()
-	rm, _ := newPair(t, "blowfish", isa.FeatRot, session)
-	tr, done := emu.Record(rm, 0, nil)
-	if !done {
-		t.Fatal("reference record incomplete")
-	}
-	return tr
-}
-
-// TestStreamAt pins the sampling-window contract: StreamAt(s,e) delivers
-// exactly the records of the full stream's [s,e) window, and bounds are
-// clamped rather than panicking.
+// TestStreamAt pins the sampling-window contract on a trace of many
+// chunks (3des/rot/4 KB, ~950K records): Stream() yields exactly the
+// records a live machine retires, StreamAt(s,e) exactly the records of
+// its [s,e) window — windows that straddle or touch chunk boundaries
+// included — and bounds are clamped rather than panicking.
 func TestStreamAt(t *testing.T) {
-	tr := refTrace(t, 128)
-	n := len(tr.Recs)
+	rm, lm := newPair(t, "3des", isa.FeatRot, 4096)
+	tr, done := emu.Record(rm, 0)
+	if !done {
+		t.Fatal("record incomplete")
+	}
+	n := tr.Len()
+	const c = emu.TraceChunkRecs
+	if n <= 3*c+200 {
+		t.Fatalf("%d records: want a trace of more than three chunks", n)
+	}
 	full := drain(t, tr.Stream())
-	windows := [][2]int{{0, n}, {0, 1}, {1, n}, {n / 3, 2 * n / 3}, {n - 1, n}, {n, n}}
+	matchLive(t, lm, tr.Prog, full)
+	windows := [][2]int{
+		{0, n}, {0, 1}, {1, n}, {n / 3, 2 * n / 3}, {n - 1, n}, {n, n},
+		{c - 1, c + 1}, {c, 2 * c}, {c - 5, 2*c + 5}, {3*c + 17, 3*c + 117}, {n - c - 3, n},
+	}
 	for _, w := range windows {
 		s := tr.StreamAt(w[0], w[1])
 		if got, want := s.InstCount(), w[1]-w[0]; got != want {

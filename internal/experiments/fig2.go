@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/pubkey"
 )
@@ -41,11 +43,8 @@ var handshakeFeat = isa.FeatRot
 func measureHandshake() (uint64, error) {
 	const crtSpeedup = handshakeCRTSpeedup
 	w := pubkey.NewWorkload(handshakeSeed)
-	m, _ := pubkey.NewRun(w, handshakeFeat, 0x20000, 0x80000)
-	eng := ooo.NewEngine(ooo.FourWide, &ooo.MachineStream{M: m})
-	eng.WarmData(0x20000, pubkey.CtxBytes)
-	eng.WarmCode(len(m.Prog.Code))
-	st, err := eng.Run()
+	m, _ := pubkey.NewRun(w, handshakeFeat, kernels.CtxAddr, kernels.RodataAddr)
+	st, err := harness.TimeMachine(m, pubkey.CtxBytes, ooo.FourWide, "rsa", handshakeFeat, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -245,11 +244,6 @@ func SweepObservedCtx(ctx context.Context, cells []Cell, progress SweepProgress)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Relax GC pacing for the duration of the sweep: recording buffers and
-	// retained traces create a large transient heap, and the default
-	// target makes the collector chase it with frequent cycles that eat
-	// measurable wall time on a single-CPU host.
-	defer debug.SetGCPercent(debug.SetGCPercent(300))
 	seen := make(map[string]bool, len(cells))
 	uniq := cells[:0:0]
 	for _, c := range cells {
@@ -383,10 +377,9 @@ type sessionKey struct {
 // whose encryption session no other cell of the grid streams. The trace
 // cache records a session so that its second and later streams replay it;
 // a session streamed once gains nothing from the recording — its records
-// are cloned, retained and evicted for no replay — so that cell runs on a
-// live machine. Value-prediction cells always run
-// live and decrypt and setup cells stream other programs, so none of them
-// count.
+// are retained and evicted for no replay — so that cell runs on a live
+// machine. Value-prediction, decrypt and setup cells always run live, so
+// none of them count.
 func singleUse(uniq []Cell) []bool {
 	key := func(c Cell) sessionKey { return sessionKey{c.Cipher, c.Feat, c.Session, c.Seed} }
 	streams := map[sessionKey]int{}

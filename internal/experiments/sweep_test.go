@@ -49,16 +49,19 @@ func TestSweepDedup(t *testing.T) {
 // TestSweepRecordsOnlySharedSessions pins the sweep's single-use rule. A
 // session two kernel cells time (blowfish/rot/1024 on 4W and DF) is
 // recorded once and replayed; a session one kernel cell times
-// (rc4/rot/256 on 4W) runs on a live machine and records nothing. Every
-// cell's Stats equal the recording path's. Under a sampled budget, which
+// (rc4/rot/256 on 4W) runs on a live machine and records nothing, and so
+// do a decrypt and a key-setup cell. Every cell's Stats equal those of
+// its harness timing call run on its own. Under a sampled budget, which
 // reads windows of the recorded trace, the single-use session records.
 func TestSweepRecordsOnlySharedSessions(t *testing.T) {
 	shared := Cell{Kind: CellKernel, Cipher: "blowfish", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 1024, Seed: DefaultSeed}
 	sharedDF := shared
 	sharedDF.Cfg = ooo.Dataflow
 	single := Cell{Kind: CellKernel, Cipher: "rc4", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 256, Seed: DefaultSeed}
-	cells := []Cell{shared, sharedDF, single}
-	if got, want := fmt.Sprint(singleUse(cells)), "[false false true]"; got != want {
+	decrypt := Cell{Kind: CellDecrypt, Cipher: "blowfish", Feat: isa.FeatRot, Cfg: ooo.FourWide, Session: 1024, Seed: DefaultSeed}
+	setup := Cell{Kind: CellSetup, Cipher: "blowfish", Feat: isa.FeatRot, Cfg: ooo.FourWide, Seed: DefaultSeed}
+	cells := []Cell{shared, sharedDF, single, decrypt, setup}
+	if got, want := fmt.Sprint(singleUse(cells)), "[false false true false false]"; got != want {
 		t.Fatalf("singleUse = %s, want %s", got, want)
 	}
 
@@ -78,12 +81,21 @@ func TestSweepRecordsOnlySharedSessions(t *testing.T) {
 	}
 	ResetCache()
 	for i, c := range cells {
-		st, err := harness.TimeKernel(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
+		var st *ooo.Stats
+		var err error
+		switch c.Kind {
+		case CellDecrypt:
+			st, err = harness.TimeDecrypt(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
+		case CellSetup:
+			st, err = harness.TimeSetup(c.Cipher, c.Feat, c.Cfg, c.Seed)
+		default:
+			st, err = harness.TimeKernel(c.Cipher, c.Feat, c.Cfg, c.Session, c.Seed)
+		}
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
 		if got := fmt.Sprintf("%+v", *st); got != swept[i] {
-			t.Errorf("%v: swept Stats differ from the recording path's\nswept    %s\nrecorded %s", c, swept[i], got)
+			t.Errorf("%v: swept Stats differ from the harness call's\nswept    %s\nharness  %s", c, swept[i], got)
 		}
 	}
 

@@ -40,3 +40,25 @@ func TestPerfectMemoryRunAllocs(t *testing.T) {
 		t.Fatalf("a DF run allocates %d bytes, want under %d", per, limit)
 	}
 }
+
+// TestRecordAllocatesTraceSize pins what a recording costs: the trace's
+// own chunks, not a full-capacity buffer plus a retained copy. Recording
+// blowfish/rot/4 KB (175,666 records, 2.7 MB) into the cache allocates
+// under twice the trace's Bytes(), measured as the TotalAlloc delta.
+func TestRecordAllocatesTraceSize(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	k := traceKey{cipher: "blowfish", feat: isa.FeatRot, session: 4096, seed: 12345}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, _, err := traces.traceFor(k)
+	runtime.ReadMemStats(&after)
+	if err != nil || tr == nil {
+		t.Fatalf("trace not retained (%v)", err)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(tr.Bytes())
+	t.Logf("recording %d records (%d bytes) allocated %d bytes", tr.Len(), tr.Bytes(), got)
+	if got >= limit {
+		t.Fatalf("recording allocated %d bytes, want under %d (twice the trace)", got, limit)
+	}
+}

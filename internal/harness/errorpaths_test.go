@@ -94,7 +94,7 @@ func TestResumeStreamBudgetFaultFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.MaxInsts = 5000
-	tr, complete := emu.Record(m, 1000, nil)
+	tr, complete := emu.Record(m, 1000)
 	if complete {
 		t.Fatal("session unexpectedly fit in 1000 instructions")
 	}

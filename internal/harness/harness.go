@@ -144,23 +144,42 @@ func TimeWorkloadObserved(w *Workload, feat isa.Feature, cfg ooo.Config, obs Run
 	if err != nil {
 		return nil, err
 	}
-	return runEngine(&ooo.MachineStream{M: m}, len(m.Prog.Code), k.CtxBytes, cfg, w.Cipher, feat, obs)
+	return TimeMachine(m, k.CtxBytes, cfg, w.Cipher, feat, obs)
+}
+
+// TimeMachine times a ready-to-run functional machine live, through the
+// same warm, meter and span sequence as every other run: it warms
+// ctxBytes of context at kernels.CtxAddr and the machine's code. name and
+// feat label the run's span. It is the path for sessions that are timed
+// once — a single-use encryption cell, every decryption and key-setup
+// session, the RSA handshake — where recording a trace would buy no
+// replay.
+func TimeMachine(m *emu.Machine, ctxBytes int, cfg ooo.Config, name string, feat isa.Feature, obs RunObserver) (*ooo.Stats, error) {
+	return runEngine(&ooo.MachineStream{M: m}, len(m.Prog.Code), ctxBytes, cfg, name, feat, obs)
 }
 
 // TimeDecrypt runs one decryption session (golden-encrypted ciphertext
-// through the AXP64 decryption kernel) on a machine configuration. The
-// paper's footnote 1 observes encryption and decryption perform
-// comparably; this lets that be verified.
+// through the AXP64 decryption kernel) on a machine configuration, on a
+// live machine. The paper's footnote 1 observes encryption and decryption
+// perform comparably; this lets that be verified.
 func TimeDecrypt(cipher string, feat isa.Feature, cfg ooo.Config, sessionBytes int, seed int64) (*ooo.Stats, error) {
 	k, err := kernels.Get(cipher)
 	if err != nil {
 		return nil, err
 	}
-	src, codeLen, err := traces.stream(traceKey{cipher: cipher, feat: feat, session: sessionBytes, seed: seed, mode: modeDecrypt})
+	w, err := NewWorkload(cipher, sessionBytes, seed)
 	if err != nil {
 		return nil, err
 	}
-	return runEngine(src, codeLen, k.CtxBytes, cfg, cipher, feat, nil)
+	ct, err := k.Encrypt(w.Key, w.IV, w.Plain)
+	if err != nil {
+		return nil, err
+	}
+	m, _, err := kernels.NewDecRun(k, feat, w.Key, w.IV, ct)
+	if err != nil {
+		return nil, err
+	}
+	return TimeMachine(m, k.CtxBytes, cfg, cipher, feat, nil)
 }
 
 // CountKernel returns the dynamic instruction count of the workload (the
@@ -184,12 +203,28 @@ func CountKernel(cipher string, feat isa.Feature, sessionBytes int, seed int64) 
 	}
 }
 
-// TimeSetup times a cipher's key-setup program. Its context starts cold:
-// the program is what writes the expanded key.
+// TimeSetup times a cipher's key-setup program on a live machine. Its
+// context starts cold: the program is what writes the expanded key.
 func TimeSetup(cipher string, feat isa.Feature, cfg ooo.Config, seed int64) (*ooo.Stats, error) {
-	src, codeLen, err := StreamSetup(cipher, feat, seed)
+	m, err := PrepareSetup(cipher, feat, seed)
 	if err != nil {
 		return nil, err
 	}
-	return runEngine(src, codeLen, 0, cfg, cipher, feat, nil)
+	return TimeMachine(m, 0, cfg, cipher, feat, nil)
+}
+
+// PrepareSetup returns a ready-to-run key-setup machine for the cipher,
+// with the key and IV TimeSetup derives from seed.
+func PrepareSetup(cipher string, feat isa.Feature, seed int64) (*emu.Machine, error) {
+	k, err := kernels.Get(cipher)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	key := make([]byte, k.KeyBytes)
+	rng.Read(key)
+	iv := make([]byte, max(k.BlockBytes, 8))
+	rng.Read(iv)
+	m, _, err := kernels.NewSetupRun(k, feat, key, iv)
+	return m, err
 }

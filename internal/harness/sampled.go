@@ -72,7 +72,7 @@ type SampleReport struct {
 // sample would cover the session anyway, or when the trace cannot be
 // retained whole.
 func TimeKernelSampled(cipher string, feat isa.Feature, cfg ooo.Config, sessionBytes int, seed int64, opt SampleOptions) (*ooo.Stats, *SampleReport, error) {
-	tr, codeLen, err := traces.traceFor(traceKey{cipher: cipher, feat: feat, session: sessionBytes, seed: seed, mode: modeEncrypt})
+	tr, codeLen, err := traces.traceFor(traceKey{cipher: cipher, feat: feat, session: sessionBytes, seed: seed})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,7 +99,7 @@ func TimeKernelSampled(cipher string, feat isa.Feature, cfg ooo.Config, sessionB
 
 	n := 0
 	if tr != nil {
-		n = len(tr.Recs)
+		n = tr.Len()
 	}
 	// Exact fallback: no addressable trace, or the windows would tile the
 	// whole session anyway (stride <= measured length), so sampling buys
@@ -162,7 +162,7 @@ func TimeKernelSampled(cipher string, feat isa.Feature, cfg ooo.Config, sessionB
 // runWindow replays the records [start-warm, end) of tr and returns the
 // measured epoch [start, end); the warm records before start are the
 // warmup prefix. The window is a zero-copy view of the trace's immutable
-// record slab.
+// record chunks.
 func runWindow(tr *emu.Trace, codeLen, ctxBytes int, cfg ooo.Config, start, end, warm int) (*ooo.Stats, error) {
 	eng := ooo.NewEngine(cfg, tr.StreamAt(start-warm, end))
 	eng.WarmData(kernels.CtxAddr, ctxBytes)

@@ -2,44 +2,34 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cryptoarch/internal/emu"
 	"cryptoarch/internal/isa"
-	"cryptoarch/internal/kernels"
 	"cryptoarch/internal/metrics"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/store"
 )
 
 // This file implements record-once/replay-many: the dynamic instruction
-// stream of a session is fully determined by (cipher, feat, sessionBytes,
-// seed, mode), yet the sweep times it on up to five machine models. The
-// cache records the functional emulation once into a packed emu.Trace and
-// hands every subsequent run a ReplayStream, so a cell's models share one
-// emulation. Entries never go stale — the key determines the trace bit for
-// bit — so the only invalidation is capacity (LRU) and the explicit
-// ResetTraceCache used by benchmarks.
+// stream of an encryption session is fully determined by (cipher, feat,
+// sessionBytes, seed), yet the sweep times it on up to five machine
+// models. The cache records the functional emulation once into a packed
+// emu.Trace and hands every subsequent run a ReplayStream, so a cell's
+// models share one emulation. Decryption and key-setup sessions are each
+// timed once and run live (TimeDecrypt, TimeSetup), so only encryption
+// sessions are keyed here. Entries never go stale — the key determines
+// the trace bit for bit — so the only invalidation is capacity (LRU) and
+// the explicit ResetTraceCache used by benchmarks.
 
-// traceMode distinguishes the three program shapes a key can describe.
-type traceMode uint8
-
-const (
-	modeEncrypt traceMode = iota
-	modeDecrypt
-	modeSetup // sessionBytes ignored (key setup only)
-)
-
+// traceKey names one encryption session.
 type traceKey struct {
 	cipher  string
 	feat    isa.Feature
 	session int
 	seed    int64
-	mode    traceMode
 }
 
 // traceEntry is a singleflight slot: the first goroutine to arrive records
@@ -61,68 +51,16 @@ type traceEntry struct {
 	lastUse uint64 // cache clock at last touch (LRU)
 }
 
-// maxTraceInsts caps the records retained per trace (16 B each: 48 MB).
-// Fig6's 64 KB sessions reach ~15M instructions for 3DES; retaining
-// those would blow the budget for traces that are replayed by at most
-// one extra model anyway.
+// maxTraceInsts caps the records retained per trace: 3 Mi records, 48
+// full chunks. Fig6's 64 KB sessions reach ~15M instructions for 3DES;
+// retaining those would blow the budget for traces that are replayed by
+// at most one extra model anyway, so a longer session streams its
+// recorded prefix once and continues live.
 const maxTraceInsts = 3 << 20
 
 // traceBudgetBytes bounds total retained trace memory across the cache.
 // A variable so tests can shrink it to exercise eviction pressure.
 var traceBudgetBytes = 192 << 20
-
-// recBufs pools full-capacity record buffers. Recording appends up to
-// maxTraceInsts records; growing a fresh slice there each time costs a
-// doubling series of large copies (hundreds of MB of memmove across a
-// sweep), so recordings borrow a pre-sized buffer and the retained trace
-// keeps only an exact-size copy.
-var recBufs = make(chan []emu.TraceRec, 4)
-
-func getRecBuf() []emu.TraceRec {
-	select {
-	case b := <-recBufs:
-		return b[:0]
-	default:
-		return make([]emu.TraceRec, 0, maxTraceInsts)
-	}
-}
-
-func putRecBuf(b []emu.TraceRec) {
-	if cap(b) < maxTraceInsts {
-		return
-	}
-	select {
-	case recBufs <- b:
-	default:
-	}
-}
-
-// releasingStream returns its borrowed record buffer to the pool once the
-// stream is drained (the engine always runs streams to completion).
-type releasingStream struct {
-	s   ooo.Stream
-	buf []emu.TraceRec
-}
-
-func (r *releasingStream) Program() *isa.Program { return r.s.Program() }
-
-func (r *releasingStream) Next() ([]emu.TraceRec, bool) {
-	recs, ok := r.s.Next()
-	if !ok && r.buf != nil {
-		putRecBuf(r.buf)
-		r.buf = nil
-	}
-	return recs, ok
-}
-
-// Err passes a terminal machine fault of the wrapped stream through to the
-// timing engine.
-func (r *releasingStream) Err() error {
-	if f, ok := r.s.(interface{ Err() error }); ok {
-		return f.Err()
-	}
-	return nil
-}
 
 // TraceCacheStats counts cache traffic for benchmark and sweep-progress
 // reporting. Hits/Misses classify every stream request: a hit is served
@@ -222,29 +160,11 @@ func ReadTraceCacheStats() TraceCacheStats {
 
 // machineFor builds the functional machine a key describes.
 func machineFor(k traceKey) (*emu.Machine, error) {
-	kern, err := kernels.Get(k.cipher)
-	if err != nil {
-		return nil, err
-	}
-	if k.mode == modeSetup {
-		key, iv := setupKeyIV(kern, k.seed)
-		m, _, err := kernels.NewSetupRun(kern, k.feat, key, iv)
-		return m, err
-	}
 	w, err := NewWorkload(k.cipher, k.session, k.seed)
 	if err != nil {
 		return nil, err
 	}
-	if k.mode == modeDecrypt {
-		ct, err := kern.Encrypt(w.Key, w.IV, w.Plain)
-		if err != nil {
-			return nil, err
-		}
-		m, _, err := kernels.NewDecRun(kern, k.feat, w.Key, w.IV, ct)
-		return m, err
-	}
-	m, _, err := kernels.NewRun(kern, k.feat, w.Key, w.IV, w.Plain)
-	return m, err
+	return Prepare(w, k.feat)
 }
 
 // recordMaxInsts overrides the instruction budget of recording machines
@@ -270,10 +190,11 @@ func (e *traceEntry) record(k traceKey) {
 	if recordMaxInsts != 0 {
 		m.MaxInsts = recordMaxInsts
 	}
-	tr, complete := emu.Record(m, maxTraceInsts, getRecBuf())
+	tr, complete := emu.Record(m, maxTraceInsts)
 	elapsed := time.Since(start)
 
 	traces.mu.Lock()
+	defer traces.mu.Unlock()
 	tcCtr().recordNS.Add(elapsed.Nanoseconds())
 	e.codeLen = len(m.Prog.Code)
 	if !complete {
@@ -281,28 +202,19 @@ func (e *traceEntry) record(k traceKey) {
 			// The machine faulted (instruction budget, runaway PC): the
 			// prefix is not a session, so fail the key instead of caching
 			// or resuming a truncated stream.
-			putRecBuf(tr.Recs)
 			e.err = fmt.Errorf("harness: recording %s: %w", k.cipher, ferr)
-			traces.mu.Unlock()
 			return
 		}
 		// Too large to retain: the recorded prefix plus the still-running
-		// machine serve exactly one stream (which returns the borrowed
-		// buffer when drained), then the entry marks the key as live-only.
-		e.resume = &releasingStream{s: tr.Resume(m), buf: tr.Recs}
-		traces.mu.Unlock()
+		// machine serve exactly one stream, then the entry marks the key
+		// as live-only.
+		e.resume = tr.Resume(m)
 		return
 	}
-	// Retain an exact-size copy (slices.Clone does not zero-fill it
-	// first); the oversized pooled buffer goes back.
-	recs := slices.Clone(tr.Recs)
-	putRecBuf(tr.Recs)
-	tr = &emu.Trace{Prog: tr.Prog, Recs: recs}
 	tcCtr().records.Inc()
 	e.tr = tr
 	traces.bytes += tr.Bytes()
 	traces.evictLocked()
-	traces.mu.Unlock()
 }
 
 // evictLocked enforces the byte budget, dropping least-recently-used
@@ -427,21 +339,5 @@ func (c *traceCache) traceFor(k traceKey) (*emu.Trace, int, error) {
 // the timing runs replay. Records carry no result values;
 // value-prediction experiments must keep using a live machine.
 func StreamKernel(cipher string, feat isa.Feature, sessionBytes int, seed int64) (ooo.Stream, int, error) {
-	return traces.stream(traceKey{cipher: cipher, feat: feat, session: sessionBytes, seed: seed, mode: modeEncrypt})
-}
-
-// StreamSetup is StreamKernel for a cipher's key-setup program, the
-// stream TimeSetup times.
-func StreamSetup(cipher string, feat isa.Feature, seed int64) (ooo.Stream, int, error) {
-	return traces.stream(traceKey{cipher: cipher, feat: feat, seed: seed, mode: modeSetup})
-}
-
-// setupKeyIV derives the deterministic key/IV TimeSetup uses.
-func setupKeyIV(k *kernels.Kernel, seed int64) (key, iv []byte) {
-	rng := rand.New(rand.NewSource(seed))
-	key = make([]byte, k.KeyBytes)
-	rng.Read(key)
-	iv = make([]byte, max(k.BlockBytes, 8))
-	rng.Read(iv)
-	return key, iv
+	return traces.stream(traceKey{cipher: cipher, feat: feat, session: sessionBytes, seed: seed})
 }

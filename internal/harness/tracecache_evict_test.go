@@ -17,8 +17,8 @@ func TestTraceBudgetEvicts(t *testing.T) {
 	defer SetMetrics(SetMetrics(metrics.NewRegistry()))
 	ResetTraceCache()
 	defer ResetTraceCache()
-	a := traceKey{cipher: "blowfish", feat: isa.FeatRot, session: 256, seed: 3, mode: modeEncrypt}
-	b := traceKey{cipher: "rc6", feat: isa.FeatRot, session: 256, seed: 3, mode: modeEncrypt}
+	a := traceKey{cipher: "blowfish", feat: isa.FeatRot, session: 256, seed: 3}
+	b := traceKey{cipher: "rc6", feat: isa.FeatRot, session: 256, seed: 3}
 	size := map[traceKey]int{}
 	for _, k := range []traceKey{a, b} {
 		tr, _, err := traces.traceFor(k)
@@ -83,7 +83,7 @@ func TestTraceRecordEvictionRace(t *testing.T) {
 	var keys []traceKey
 	for _, cipher := range kernels.Names() {
 		for seed := int64(1); seed <= 3; seed++ {
-			keys = append(keys, traceKey{cipher: cipher, feat: isa.FeatRot, session: 1024, seed: seed, mode: modeEncrypt})
+			keys = append(keys, traceKey{cipher: cipher, feat: isa.FeatRot, session: 1024, seed: seed})
 		}
 	}
 	const workers = 4

@@ -229,15 +229,9 @@ type Engine struct {
 	readyQ    [fuKinds]seqPQ
 	readyMask uint32
 
-	// Entries becoming ready next cycle (makeReady proves readyCycle is
-	// never beyond cycle+1), double-buffered by cycle parity: bucket c&1
-	// holds the seqs that promote at cycle c.
-	futureReady [2][]uint64
-
-	// Fetch state. The fetch/decode queue is a power-of-two ring indexed
-	// by monotone head/tail counters.
-	fetchQ               []uint64 // ring of seqs (dispatch order)
-	fqHead, fqTail       uint64
+	// Fetch state. The fetch/decode queue is the ROB seqs
+	// [dispatchSeq, tailSeq): fetched in order, dispatched in order.
+	dispatchSeq          uint64 // next seq to dispatch
 	fetchStallTil        uint64
 	fetchStallBranch     bool // fetchStallTil is branch recovery, not I-cache
 	fetchBlockedOnBranch bool
@@ -324,10 +318,10 @@ func NewEngine(cfg Config, src Stream) *Engine {
 // Program is the static program the engine's stream indexes.
 func (e *Engine) Program() *isa.Program { return e.src.Program() }
 
-// initLoop takes the reorder-buffer ring, consumer-node pool and fetch
-// queue the cycle loop runs on. Run calls it only when it enters the loop,
-// so a run timed by the program-order pass (progorder.go) takes none of
-// them; a second call is a no-op.
+// initLoop takes the reorder-buffer ring and consumer-node pool the cycle
+// loop runs on. Run calls it only when it enters the loop, so a run timed
+// by the program-order pass (progorder.go) takes neither; a second call
+// is a no-op.
 func (e *Engine) initLoop() {
 	if e.rob != nil {
 		return
@@ -349,7 +343,6 @@ func (e *Engine) initLoop() {
 	}
 	e.rob = getRing(nextPow2(capHint))
 	e.consPool = getConsPool()
-	e.fetchQ = make([]uint64, nextPow2(e.fetchQueueCap()))
 }
 
 // maxWindow bounds "infinite" windows: a quarter-million in-flight
@@ -468,7 +461,7 @@ func putRing(r []entry) {
 func (e *Engine) at(seq uint64) *entry { return &e.rob[seq&uint64(len(e.rob)-1)] }
 
 // fqLen is the fetch/decode queue occupancy.
-func (e *Engine) fqLen() int { return int(e.fqTail - e.fqHead) }
+func (e *Engine) fqLen() int { return int(e.tailSeq - e.dispatchSeq) }
 
 // windowOcc is the number of dispatched-but-uncommitted instructions.
 func (e *Engine) windowOcc() int {
@@ -634,9 +627,6 @@ func (e *Engine) step() bool {
 	if e.writeback() {
 		progress = true
 	}
-	if e.promoteReady() {
-		progress = true
-	}
 	if e.commit() {
 		progress = true
 	}
@@ -747,38 +737,14 @@ func (e *Engine) queueReady(k int, seq uint64) {
 	e.readyMask |= 1 << uint(k)
 }
 
+// makeReady marks an entry ready and queues it for issue. An entry
+// readied at its own dispatch is ready the cycle after; it can be queued
+// at once because dispatch runs after issue, so the earliest issue stage
+// to see it is the next cycle's.
 func (e *Engine) makeReady(en *entry) {
 	en.state = stReady
-	rc := e.cycle
-	if dc := uint64(en.dispatchCycle) + 1; dc > rc {
-		rc = dc
-	}
-	en.readyCycle = uint32(rc)
-	if rc <= e.cycle {
-		e.queueReady(int(en.kind), en.seq)
-	} else {
-		// dispatchCycle never exceeds the current cycle, so rc is at most
-		// cycle+1: the parity bucket rc&1 promotes exactly at cycle rc.
-		e.futureReady[rc&1] = append(e.futureReady[rc&1], en.seq)
-	}
-}
-
-// promoteReady moves entries whose ready cycle has arrived into the
-// per-kind issue queues.
-func (e *Engine) promoteReady() bool {
-	b := &e.futureReady[e.cycle&1]
-	if len(*b) == 0 {
-		return false
-	}
-	rob, mask := e.rob, uint64(len(e.rob)-1)
-	for _, s := range *b {
-		en := &rob[s&mask]
-		if en.seq == s && en.state == stReady {
-			e.queueReady(int(en.kind), s)
-		}
-	}
-	*b = (*b)[:0]
-	return true
+	en.readyCycle = uint32(max(e.cycle, uint64(en.dispatchCycle)+1))
+	e.queueReady(int(en.kind), en.seq)
 }
 
 // commit retires completed instructions in order.
@@ -862,7 +828,7 @@ func (e *Engine) headBlame() StallCause {
 			return StallIFetch // fetched but not yet decoded/dispatched
 		}
 	}
-	if e.fqLen() > 0 && e.fetchQ[e.fqHead&uint64(len(e.fetchQ)-1)] == e.headSeq {
+	if e.dispatchSeq == e.headSeq {
 		return StallIFetch // oldest in flight is fetched, not yet dispatched
 	}
 	en := e.at(e.headSeq)
@@ -1147,11 +1113,10 @@ func (e *Engine) advanceStoreKnown() {
 // dispatch moves fetched instructions into the window.
 func (e *Engine) dispatch() bool {
 	width := e.cfg.IssueWidth
-	mask := uint64(len(e.fetchQ) - 1)
 	effW := e.effWindow()
 	rob, rmask := e.rob, uint64(len(e.rob)-1)
 	n := 0
-	for e.fqHead != e.fqTail {
+	for e.dispatchSeq != e.tailSeq {
 		if !inf(width) && n >= width {
 			break
 		}
@@ -1159,8 +1124,7 @@ func (e *Engine) dispatch() bool {
 			e.windowFullCycle = e.cycle
 			break
 		}
-		s := e.fetchQ[e.fqHead&mask]
-		en := &rob[s&rmask]
+		en := &rob[e.dispatchSeq&rmask]
 		if uint64(en.fetchCycle) >= e.cycle {
 			break // fetched this cycle; decodes next cycle
 		}
@@ -1170,7 +1134,7 @@ func (e *Engine) dispatch() bool {
 			}
 			e.memOps++
 		}
-		e.fqHead++
+		e.dispatchSeq++
 		e.wireDependencies(en)
 		n++
 	}
@@ -1279,7 +1243,6 @@ func (e *Engine) fetch() bool {
 		return false
 	}
 	qCap := e.fetchQueueCap()
-	mask := uint64(len(e.fetchQ) - 1)
 	rob, rmask := e.rob, uint64(len(e.rob)-1)
 	uops := e.uops
 	blocks := 0
@@ -1341,8 +1304,6 @@ func (e *Engine) fetch() bool {
 		en.memBlocked = false
 		en.memLevel = memHit
 		en.issueDelayed = false
-		e.fetchQ[e.fqTail&mask] = seq
-		e.fqTail++
 		e.recPos++
 		e.peeked = false
 		fetched++

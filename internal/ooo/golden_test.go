@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cryptoarch/internal/emu"
 	"cryptoarch/internal/harness"
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/kernels"
@@ -126,7 +127,9 @@ func TestGoldenEngineStats(t *testing.T) {
 		if run.sess == 0 {
 			st, err = harness.TimeSetup(run.cipher, run.feat, cfg, 12345)
 			if err == nil {
-				src, _, err = harness.StreamSetup(run.cipher, run.feat, 12345)
+				var m *emu.Machine
+				m, err = harness.PrepareSetup(run.cipher, run.feat, 12345)
+				src = &ooo.MachineStream{M: m}
 			}
 		} else {
 			st, err = harness.TimeKernel(run.cipher, run.feat, cfg, run.sess, 12345)

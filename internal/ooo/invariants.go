@@ -79,13 +79,11 @@ func (e *Engine) checkROBBounds() *check.Violation {
 	if occ > uint64(len(e.rob)) {
 		return check.Violationf("rob-bounds", e.cycle, "occupancy %d exceeds ring size %d", occ, len(e.rob))
 	}
-	if e.fqTail < e.fqHead {
-		return check.Violationf("rob-bounds", e.cycle, "fetch queue tail %d behind head %d", e.fqTail, e.fqHead)
+	if e.dispatchSeq < e.headSeq || e.dispatchSeq > e.tailSeq {
+		return check.Violationf("rob-bounds", e.cycle, "dispatchSeq %d outside the in-flight seqs [%d, %d]", e.dispatchSeq, e.headSeq, e.tailSeq)
 	}
-	if fq := e.fqLen(); fq > len(e.fetchQ) {
-		return check.Violationf("rob-bounds", e.cycle, "fetch queue occupancy %d exceeds ring size %d", fq, len(e.fetchQ))
-	} else if uint64(fq) > occ {
-		return check.Violationf("rob-bounds", e.cycle, "fetch queue holds %d seqs but only %d are in flight", fq, occ)
+	if fq := e.fqLen(); fq > e.fetchQueueCap() {
+		return check.Violationf("rob-bounds", e.cycle, "fetch queue occupancy %d exceeds its capacity %d", fq, e.fetchQueueCap())
 	}
 	if w := e.windowOcc(); w > e.effWindow() {
 		return check.Violationf("rob-bounds", e.cycle, "window occupancy %d exceeds window size %d", w, e.effWindow())

@@ -140,7 +140,7 @@ func TestDetectROBBoundsCorruption(t *testing.T) {
 	})
 	t.Run("fetch-queue", func(t *testing.T) {
 		e := cleanEngine(t, FourWide)
-		e.fqTail = e.fqHead - 1
+		e.dispatchSeq = e.tailSeq + 1
 		wantViolation(t, e, "rob-bounds")
 	})
 }

@@ -104,7 +104,7 @@ func TestProgramOrderMatchesCycleLoop(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v/%s: %v", name, feat, s.name, err)
 				}
-				tr, complete := emu.Record(m, 0, nil)
+				tr, complete := emu.Record(m, 0)
 				if !complete {
 					t.Fatalf("%s/%v/%s: recording stopped: %v", name, feat, s.name, m.Err())
 				}
@@ -123,9 +123,17 @@ func TestProgramOrderMatchesCycleLoop(t *testing.T) {
 					}
 					uops := decode(tr.Prog.Code, &branch)
 					t.Run(fmt.Sprintf("%s/%v/%s/cut/%s", name, feat, s.name, branch.Name), func(t *testing.T) {
-						for j := range tr.Recs {
-							if uops[tr.Recs[j].Idx].br != brNone {
-								timeBothWays(t, branch, func() Stream { return tr.StreamAt(0, j+1) })
+						end := 0
+						for s := tr.Stream(); ; {
+							recs, ok := s.Next()
+							if !ok {
+								break
+							}
+							for _, r := range recs {
+								end++
+								if n := end; uops[r.Idx].br != brNone {
+									timeBothWays(t, branch, func() Stream { return tr.StreamAt(0, n) })
+								}
 							}
 						}
 					})

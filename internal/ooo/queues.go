@@ -2,9 +2,9 @@ package ooo
 
 // Allocation-free scheduling structures for the engine hot loop. The
 // per-cycle and per-seq maps the engine used to carry (completion wheel,
-// future-ready sets, store ordering, byte-granular alias tracking) are
-// replaced here by ring-indexed calendar queues, a non-boxing binary
-// min-heap, and a page-table of last-store slabs. All of them reuse their
+// store ordering, byte-granular alias tracking) are replaced here by
+// ring-indexed calendar queues, a non-boxing binary min-heap, and a
+// page-table of last-store slabs. All of them reuse their
 // backing storage, so the steady-state simulation loop performs no heap
 // allocation (pinned by TestSteadyStateZeroAllocs).
 

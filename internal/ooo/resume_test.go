@@ -43,9 +43,9 @@ func TestResumeStreamEquivalence(t *testing.T) {
 			}
 			return m
 		}
-		full, done := emu.Record(machine(), 0, nil)
-		if !done || len(full.Recs) <= prefix {
-			t.Fatalf("%s: full record done=%v with %d records, want a session longer than %d", c.cipher, done, len(full.Recs), prefix)
+		full, done := emu.Record(machine(), 0)
+		if !done || full.Len() <= prefix {
+			t.Fatalf("%s: full record done=%v with %d records, want a session longer than %d", c.cipher, done, full.Len(), prefix)
 		}
 		run := func(cfg ooo.Config, src ooo.Stream) string {
 			e := ooo.NewEngine(cfg, src)
@@ -59,9 +59,9 @@ func TestResumeStreamEquivalence(t *testing.T) {
 		}
 		for _, cfg := range ooo.Models {
 			m := machine()
-			tr, complete := emu.Record(m, prefix, make([]emu.TraceRec, 0, prefix))
-			if complete || len(tr.Recs) != prefix {
-				t.Fatalf("%s: prefix record complete=%v len=%d, want an incomplete %d", c.cipher, complete, len(tr.Recs), prefix)
+			tr, complete := emu.Record(m, prefix)
+			if complete || tr.Len() != prefix {
+				t.Fatalf("%s: prefix record complete=%v len=%d, want an incomplete %d", c.cipher, complete, tr.Len(), prefix)
 			}
 			resumed := run(cfg, tr.Resume(m))
 			replayed := run(cfg, full.Stream())

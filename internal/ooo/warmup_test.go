@@ -27,7 +27,7 @@ func warmupTrace(t *testing.T, bytes int) (*emu.Trace, *kernels.Kernel) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, done := emu.Record(m, 0, nil)
+	tr, done := emu.Record(m, 0)
 	if !done {
 		t.Fatal("record incomplete")
 	}
@@ -54,7 +54,7 @@ func warmupRun(t *testing.T, tr *emu.Trace, k *kernels.Kernel, cfg ooo.Config, w
 // measured epoch alone, and dispatch-side class counts stay consistent.
 func TestWarmupEpochSplit(t *testing.T) {
 	tr, k := warmupTrace(t, 512)
-	total := uint64(len(tr.Recs))
+	total := uint64(tr.Len())
 	for _, cfg := range []ooo.Config{ooo.FourWide, ooo.EightWidePlus} {
 		golden, _ := warmupRun(t, tr, k, cfg, 0)
 		for _, w := range []uint64{1, 100, total / 2, total - 1} {
@@ -91,7 +91,7 @@ func TestWarmupEpochSplit(t *testing.T) {
 // never closes, reporting the full run and zero discard.
 func TestWarmupZeroAndOverlong(t *testing.T) {
 	tr, k := warmupTrace(t, 256)
-	total := uint64(len(tr.Recs))
+	total := uint64(tr.Len())
 	golden, _ := warmupRun(t, tr, k, ooo.FourWide, 0)
 
 	zero, eng := warmupRun(t, tr, k, ooo.FourWide, 0)
@@ -115,7 +115,7 @@ func TestWarmupZeroAndOverlong(t *testing.T) {
 // stall breakdown is all zeros before and after the delta.
 func TestWarmupDataflow(t *testing.T) {
 	tr, k := warmupTrace(t, 256)
-	total := uint64(len(tr.Recs))
+	total := uint64(tr.Len())
 	w := total / 3
 	st, _ := warmupRun(t, tr, k, ooo.Dataflow, w)
 	if st.Instructions != total-w {
@@ -134,7 +134,7 @@ func TestWarmupDataflow(t *testing.T) {
 // run-level breakdown exactly, on both a finite and checked config.
 func TestWarmupProfile(t *testing.T) {
 	tr, k := warmupTrace(t, 512)
-	total := uint64(len(tr.Recs))
+	total := uint64(tr.Len())
 	cfg := ooo.FourWide
 	cfg.Checked = true
 	eng := ooo.NewEngine(cfg, tr.Stream())
